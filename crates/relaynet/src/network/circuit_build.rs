@@ -430,12 +430,7 @@ impl TorNetwork {
             let mut data = Vec::with_capacity(4 + HANDSHAKE_LEN);
             data.extend_from_slice(&target.0.to_be_bytes());
             data.extend_from_slice(&next_handshake);
-            let rc = RelayCell {
-                cmd: RelayCommand::Extend,
-                stream: StreamId::CIRCUIT,
-                digest: payload_digest(&data),
-                data,
-            };
+            let rc = RelayCell::unsealed(RelayCommand::Extend, StreamId::CIRCUIT, data);
             qcs.push(QueuedCell {
                 cell: Cell {
                     circ: CircuitId::CONTROL,

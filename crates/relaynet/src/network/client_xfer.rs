@@ -3,7 +3,8 @@
 //! The client side generates the transfer workload: each stream of the
 //! circuit's workload opens with its own BEGIN once it has arrived and
 //! the circuit is built; after its CONNECTED the client pumps its DATA
-//! cells (wrapped for the server's onion layer, window permitting),
+//! cells (unsealed; the egress pump seals and wraps them for the
+//! server's onion layer in one pass, window permitting),
 //! round-robining generation across the open streams, and finishes each
 //! stream with one END. The server side consumes recognized forward
 //! cells — answering BEGIN with CONNECTED, counting and verifying DATA
@@ -31,13 +32,7 @@ impl TorNetwork {
     pub(super) fn begin_cell(sid: StreamId, server_hop: usize) -> QueuedCell {
         // ≥ 8 payload bytes so leaky-pipe recognition stays sound (a
         // near-empty payload could spuriously "recognize" early).
-        let data = b"server:443".to_vec();
-        let rc = RelayCell {
-            cmd: RelayCommand::Begin,
-            stream: sid,
-            digest: payload_digest(&data),
-            data,
-        };
+        let rc = RelayCell::unsealed(RelayCommand::Begin, sid, b"server:443".to_vec());
         QueuedCell {
             cell: Cell {
                 circ: CircuitId::CONTROL,
@@ -91,7 +86,11 @@ impl TorNetwork {
                 return Some(QueuedCell {
                     cell: Cell {
                         circ: CircuitId::CONTROL, // restamped at send
-                        body: CellBody::Relay(RelayCell::data(sid, payload)),
+                        body: CellBody::Relay(RelayCell::unsealed(
+                            RelayCommand::Data,
+                            sid,
+                            payload,
+                        )),
                     },
                     confirm: None,
                     wrap_for_hop: Some(server_hop),
@@ -100,13 +99,7 @@ impl TorNetwork {
                 s.end_sent = true;
                 let sid = s.id;
                 app.rr_cursor = (i + 1) % n;
-                let data = vec![END_REASON_DONE; 8];
-                let rc = RelayCell {
-                    cmd: RelayCommand::End,
-                    stream: sid,
-                    digest: payload_digest(&data),
-                    data,
-                };
+                let rc = RelayCell::unsealed(RelayCommand::End, sid, vec![END_REASON_DONE; 8]);
                 return Some(QueuedCell {
                     cell: Cell {
                         circ: CircuitId::CONTROL,

@@ -167,6 +167,8 @@ impl TorNetwork {
             };
 
             let mut cell = qc.cell;
+            // Client-originated cells are sealed (digest) and wrapped in
+            // one pass over the payload, at send time.
             if let Some(hop) = qc.wrap_for_hop {
                 let app = client
                     .as_mut()

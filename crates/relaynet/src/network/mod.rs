@@ -352,40 +352,53 @@ impl WorldStats {
     }
 }
 
-/// The deterministic fill pattern for DATA payloads: byte `i` of cell
-/// `idx` on circuit `circ`.
-pub fn fill_pattern(circ: CircId, idx: u64, len: usize) -> Vec<u8> {
-    let mut buf = vec![0u8; len];
-    fill_pattern_into(circ, idx, &mut buf);
-    buf
-}
+/// The DATA fill pattern's period: byte `i` of cell `idx` on circuit
+/// `circ` is `(circ·131 + idx·31 + i) mod 256`.
+const FILL_PERIOD: usize = 256;
 
-/// Writes the fill pattern for cell `idx` of `circ` into `buf` in place —
-/// the allocation-free form the data path uses.
-#[inline]
-pub fn fill_pattern_into(circ: CircId, idx: u64, buf: &mut [u8]) {
-    let base = u64::from(circ.0) * 131 + idx * 31;
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = ((base + i as u64) & 0xFF) as u8;
+/// The byte ramp `0, 1, …, 255` twice over, so the pattern's period at any
+/// phase is one contiguous window.
+const FILL_TABLE: [u8; 2 * FILL_PERIOD] = {
+    let mut table = [0u8; 2 * FILL_PERIOD];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = i as u8;
+        i += 1;
     }
+    table
+};
+
+/// One period of the fill pattern for cell `idx` of `circ`.
+fn fill_period(circ: CircId, idx: u64) -> &'static [u8] {
+    let phase = u64::from(circ.0)
+        .wrapping_mul(131)
+        .wrapping_add(idx.wrapping_mul(31));
+    let phase = (phase % FILL_PERIOD as u64) as usize;
+    &FILL_TABLE[phase..phase + FILL_PERIOD]
 }
 
 /// Appends the fill pattern for cell `idx` of `circ` onto `buf` — the
 /// form the pooled data path uses (the pool hands out empty buffers, so
-/// extending writes each byte exactly once).
+/// extending writes each byte exactly once, a period-sized copy at a
+/// time).
 #[inline]
 pub fn fill_pattern_extend(circ: CircId, idx: u64, len: usize, buf: &mut Vec<u8>) {
-    let base = u64::from(circ.0) * 131 + idx * 31;
-    buf.extend((0..len as u64).map(|i| ((base + i) & 0xFF) as u8));
+    let period = fill_period(circ, idx);
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(FILL_PERIOD);
+        buf.extend_from_slice(&period[..n]);
+        left -= n;
+    }
 }
 
-/// Verifies `data` against the fill pattern without materialising it.
+/// Verifies `data` against the fill pattern without materialising it: a
+/// slice comparison per period.
 #[inline]
 pub fn verify_fill_pattern(circ: CircId, idx: u64, data: &[u8]) -> bool {
-    let base = u64::from(circ.0) * 131 + idx * 31;
-    data.iter()
-        .enumerate()
-        .all(|(i, &b)| b == ((base + i as u64) & 0xFF) as u8)
+    let period = fill_period(circ, idx);
+    data.chunks(FILL_PERIOD)
+        .all(|chunk| chunk == &period[..chunk.len()])
 }
 
 /// One endpoint's view of a link-local circuit id: at node `node`, frames
@@ -1359,6 +1372,61 @@ impl World for TorNetwork {
                 progress,
                 kind,
             } => self.circ_timeout(ctx, circ, incarnation, progress, kind),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fill pattern's defining byte formula, one byte at a time.
+    fn formula(circ: CircId, idx: u64, len: usize) -> Vec<u8> {
+        let base = u64::from(circ.0)
+            .wrapping_mul(131)
+            .wrapping_add(idx.wrapping_mul(31));
+        (0..len as u64)
+            .map(|i| (base.wrapping_add(i) & 0xFF) as u8)
+            .collect()
+    }
+
+    const LENS: [usize; 10] = [0, 1, 7, 8, 255, 256, 257, 496, 513, 1000];
+    const CIRCS: [u32; 4] = [0, 1, 0x8000_0001, u32::MAX];
+    const IDXS: [u64; 5] = [0, 1, 255, u64::MAX / 31 + 1, u64::MAX];
+
+    #[test]
+    fn fill_table_matches_the_byte_formula() {
+        for circ in CIRCS.map(CircId) {
+            for idx in IDXS {
+                for len in LENS {
+                    let mut buf = vec![0xEE];
+                    fill_pattern_extend(circ, idx, len, &mut buf);
+                    assert_eq!(buf[0], 0xEE, "extend must append");
+                    let want = formula(circ, idx, len);
+                    assert_eq!(buf[1..], want[..], "{circ:?} idx {idx} len {len}");
+                    assert!(verify_fill_pattern(circ, idx, &want));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verify_rejects_every_single_byte_corruption() {
+        for circ in CIRCS.map(CircId) {
+            for idx in IDXS {
+                for len in LENS {
+                    let mut data = formula(circ, idx, len);
+                    for pos in 0..len {
+                        let flip = 1 + (pos % 255) as u8;
+                        data[pos] ^= flip;
+                        assert!(
+                            !verify_fill_pattern(circ, idx, &data),
+                            "{circ:?} idx {idx} len {len}: corruption at {pos} accepted"
+                        );
+                        data[pos] ^= flip;
+                    }
+                }
+            }
         }
     }
 }

@@ -7,7 +7,8 @@
 //! recognition stage proper.
 //!
 //! Recognition is leaky-pipe, as in Tor: a relay strips its onion layer
-//! from every forward relay cell; if the digest then verifies, the cell
+//! from every forward relay cell, checking the digest in the same pass
+//! over the payload (`RelayCrypt::strip_forward`); if it verifies, the cell
 //! is *for this hop* and is consumed by the endpoint stage
 //! ([`client_xfer`](super::client_xfer) at server/client,
 //! [`circuit_build`](super::circuit_build) for EXTEND at a relay).

@@ -77,8 +77,9 @@ pub struct QueuedCell {
     /// Feedback owed upstream once this cell leaves the queue.
     pub confirm: Option<PendingConfirm>,
     /// For client-originated relay cells: the hop (layer index) that must
-    /// recognize the cell; onion wrapping happens at dequeue so that layer
-    /// counters advance in exact send order.
+    /// recognize the cell; onion wrapping (which also seals the digest)
+    /// happens at dequeue so that layer counters advance in exact send
+    /// order.
     pub wrap_for_hop: Option<usize>,
 }
 

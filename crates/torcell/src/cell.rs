@@ -132,17 +132,29 @@ impl RelayCell {
     ///
     /// Panics if `data` exceeds [`RELAY_DATA_MAX`].
     pub fn data(stream: StreamId, data: Vec<u8>) -> RelayCell {
+        let mut rc = RelayCell::unsealed(RelayCommand::Data, stream, data);
+        rc.digest = crate::crypto::payload_digest(&rc.data);
+        rc
+    }
+
+    /// Builds a client-originated relay cell with its digest left unset:
+    /// [`OnionRoute::wrap_for_hop`](crate::crypto::OnionRoute::wrap_for_hop)
+    /// seals it in the same pass that wraps the payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` exceeds [`RELAY_DATA_MAX`].
+    pub fn unsealed(cmd: RelayCommand, stream: StreamId, data: Vec<u8>) -> RelayCell {
         assert!(
             data.len() <= RELAY_DATA_MAX,
             "relay payload of {} bytes exceeds max {}",
             data.len(),
             RELAY_DATA_MAX
         );
-        let digest = crate::crypto::payload_digest(&data);
         RelayCell {
-            cmd: RelayCommand::Data,
+            cmd,
             stream,
-            digest,
+            digest: 0,
             data,
         }
     }

@@ -10,6 +10,31 @@
 //! with a keyed xorshift keystream — deterministic, size-preserving,
 //! trivially invertible, and completely insecure. See DESIGN.md §2 for the
 //! substitution rationale.
+//!
+//! # One pass per hop
+//!
+//! A layer's keystream is xorshift64*, one word per 8 payload bytes (the
+//! byte tail takes the low bytes of one more word), started from the
+//! layer key and the layer's per-direction cell counter. The digest is
+//! [`payload_digest`] over the plaintext. Both definitions are fixed; one
+//! kernel evaluates them, and every transformation of a payload is a
+//! single pass of it over the payload's words:
+//!
+//! * [`RelayCrypt::strip_forward`] (and each layer tried by
+//!   [`OnionRoute::unwrap_inbound`]) XORs the keystream and folds the
+//!   resulting plaintext word into the digest in the same iteration. The
+//!   keystream and the digest are independent serial chains, so they
+//!   overlap instead of running back to back.
+//! * [`OnionRoute::wrap_for_hop`] runs all `hop + 1` keystreams
+//!   interleaved, in groups of at most four, and **seals** the cell: the
+//!   first group's pass also folds the plaintext into the digest and
+//!   stores it in `cell.digest`. The wrap owns the digest, so a
+//!   client-originated cell needs none at construction
+//!   ([`RelayCell::unsealed`]).
+//! * [`RelayCrypt::add_backward`] runs the keystream alone.
+//!
+//! The root package's `proptest_codec` suite checks the kernel byte for
+//! byte against a byte-at-a-time oracle.
 
 use crate::cell::RelayCell;
 
@@ -31,99 +56,96 @@ impl LayerKey {
     }
 }
 
-/// One onion layer: a keyed, position-synchronized XOR keystream.
-///
-/// Applying the layer twice with the same starting offset is the identity,
-/// which is exactly how the tests verify wrap/unwrap symmetry.
-#[derive(Clone, Debug)]
-pub struct LayerCipher {
-    key: LayerKey,
-}
+/// Most keystreams one kernel pass carries in registers; longer circuits
+/// are wrapped in groups of at most this many layers.
+const LANES: usize = 4;
 
-impl LayerCipher {
-    /// Creates a cipher from a key.
-    pub fn new(key: LayerKey) -> LayerCipher {
-        LayerCipher { key }
-    }
+/// Kernel digest modes: fold nothing into the digest…
+const FOLD_NONE: u8 = 0;
+/// …fold the words as they were before the XOR (a wrap: plaintext in)…
+const FOLD_INPUT: u8 = 1;
+/// …or the words after the XOR (a strip: plaintext out).
+const FOLD_OUTPUT: u8 = 2;
 
-    /// XORs the keystream for (`key`, `nonce`) over `data` in place.
-    /// `nonce` must match between apply and un-apply; callers use the
-    /// per-cell sequence number.
-    ///
-    /// The keystream advances one xorshift64* word per 8 payload bytes;
-    /// whole words are XORed at machine width (this runs on every cell at
-    /// every hop), with a byte tail for the remainder. The byte sequence
-    /// is identical to applying the stream byte by byte.
-    pub fn apply(&self, nonce: u64, data: &mut [u8]) {
-        let mut state = self.key.0 ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        if state == 0 {
-            state = 0x9E37_79B9_7F4A_7C15;
-        }
-        let mut next_word = move || {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut chunks = data.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let buf: &mut [u8; 8] = chunk.try_into().expect("exact chunk");
-            *buf = (u64::from_le_bytes(*buf) ^ next_word()).to_le_bytes();
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let word = next_word().to_le_bytes();
-            for (byte, k) in tail.iter_mut().zip(word) {
-                *byte ^= k;
-            }
-        }
+/// The xorshift64* start state of the layer keyed `key` for the cell
+/// numbered `*counter` in its direction; consumes that number.
+fn layer_start(key: LayerKey, counter: &mut u64) -> u64 {
+    let state = key.0 ^ counter.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    *counter += 1;
+    // Avoid the degenerate all-zero xorshift state.
+    if state == 0 {
+        0x9E37_79B9_7F4A_7C15
+    } else {
+        state
     }
 }
 
-/// The client-side stack of layers for a circuit: layer `0` is shared with
-/// the first relay, layer `n-1` with the exit.
-#[derive(Clone, Debug, Default)]
-pub struct OnionStack {
-    layers: Vec<LayerCipher>,
+/// Advances one xorshift64* state and returns its next keystream word.
+#[inline(always)]
+fn keystream_next(state: &mut u64) -> u64 {
+    *state ^= *state >> 12;
+    *state ^= *state << 25;
+    *state ^= *state >> 27;
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-impl OnionStack {
-    /// Creates an empty stack.
-    pub fn new() -> OnionStack {
-        OnionStack { layers: Vec::new() }
-    }
+/// Starting value of the digest chain.
+const DIGEST_SEED: u64 = 0x811c_9dc5_2545_f491;
 
-    /// Appends the layer shared with the next relay on the path.
-    pub fn push_layer(&mut self, key: LayerKey) {
-        self.layers.push(LayerCipher::new(key));
-    }
+/// Folds one 8-byte payload word into the digest chain.
+#[inline(always)]
+fn digest_fold(h: u64, word: u64) -> u64 {
+    (h ^ word)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(23)
+}
 
-    /// Number of layers (circuit length).
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
+/// Closes the digest chain with the zero-padded tail word and the length.
+#[inline(always)]
+fn digest_finish(h: u64, tail: u64, len: usize) -> u32 {
+    ((h ^ tail ^ len as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
+}
 
-    /// `true` if no layers have been negotiated yet.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Client → exit: wraps payload in all layers, outermost (first relay)
-    /// last, so the first relay strips first.
-    pub fn wrap_outbound(&self, nonce: u64, cell: &mut RelayCell) {
-        for layer in self.layers.iter().rev() {
-            layer.apply(nonce, &mut cell.data);
+/// The kernel: XORs the `N` keystreams starting at `starts` over `data`
+/// in one pass and returns the digest of the side `FOLD` names (for
+/// [`FOLD_NONE`] the return value is meaningless).
+fn keystream_pass<const N: usize, const FOLD: u8>(starts: [u64; N], data: &mut [u8]) -> u32 {
+    let len = data.len();
+    let mut states = starts;
+    let mut keystream = || states.iter_mut().fold(0, |ks, s| ks ^ keystream_next(s));
+    let plain = |input: u64, output: u64| if FOLD == FOLD_INPUT { input } else { output };
+    let mut h = DIGEST_SEED;
+    let mut chunks = data.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        let buf: &mut [u8; 8] = chunk.try_into().expect("exact chunk");
+        let input = u64::from_le_bytes(*buf);
+        let output = input ^ keystream();
+        *buf = output.to_le_bytes();
+        if FOLD != FOLD_NONE {
+            h = digest_fold(h, plain(input, output));
         }
     }
+    let tail = chunks.into_remainder();
+    if tail.is_empty() {
+        return digest_finish(h, 0, len);
+    }
+    let mut word = [0u8; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    let input = u64::from_le_bytes(word);
+    let output = input ^ (keystream() & (u64::MAX >> (64 - 8 * tail.len())));
+    tail.copy_from_slice(&output.to_le_bytes()[..tail.len()]);
+    digest_finish(h, plain(input, output), len)
+}
 
-    /// Exit → client: removes all layers at once (the client holds every
-    /// key). Relays along the path each *added* one layer with
-    /// [`LayerCipher::apply`].
-    pub fn unwrap_inbound(&self, nonce: u64, cell: &mut RelayCell) {
-        for layer in &self.layers {
-            layer.apply(nonce, &mut cell.data);
-        }
+/// Runs the kernel over one group of 1..=[`LANES`] layer start states.
+#[inline(always)]
+fn keystream_group<const FOLD: u8>(starts: &[u64], data: &mut [u8]) -> u32 {
+    match *starts {
+        [a] => keystream_pass::<1, FOLD>([a], data),
+        [a, b] => keystream_pass::<2, FOLD>([a, b], data),
+        [a, b, c] => keystream_pass::<3, FOLD>([a, b, c], data),
+        [a, b, c, d] => keystream_pass::<4, FOLD>([a, b, c, d], data),
+        _ => unreachable!("a keystream group holds 1..=LANES layers"),
     }
 }
 
@@ -136,7 +158,7 @@ impl OnionStack {
 /// that traverses them exactly once), so both sides stay in lockstep.
 #[derive(Clone, Debug, Default)]
 pub struct OnionRoute {
-    layers: Vec<LayerCipher>,
+    keys: Vec<LayerKey>,
     /// Client-side counter per layer, forward direction.
     fwd_counters: Vec<u64>,
     /// Client-side counter per layer, backward direction.
@@ -151,36 +173,46 @@ impl OnionRoute {
 
     /// Appends the layer shared with the newly added hop.
     pub fn push_layer(&mut self, key: LayerKey) {
-        self.layers.push(LayerCipher::new(key));
+        self.keys.push(key);
         self.fwd_counters.push(0);
         self.bwd_counters.push(0);
     }
 
     /// Number of negotiated hops.
     pub fn len(&self) -> usize {
-        self.layers.len()
+        self.keys.len()
     }
 
     /// `true` before the first hop is negotiated.
     pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Wraps an outbound relay cell so that it is recognized at layer
-    /// `hop` (0 = first relay). Layers are applied innermost-first, so the
-    /// first relay strips first; counters of layers `0..=hop` advance.
+    /// Seals an outbound relay cell and wraps it so that it is recognized
+    /// at layer `hop` (0 = first relay): one pass stores the plaintext
+    /// digest in `cell.digest` and XORs the keystreams of layers
+    /// `0..=hop`, whose counters advance.
     ///
     /// # Panics
     ///
     /// Panics if `hop` is out of range.
     pub fn wrap_for_hop(&mut self, hop: usize, cell: &mut RelayCell) {
         assert!(
-            hop < self.layers.len(),
+            hop < self.keys.len(),
             "wrap_for_hop: hop {hop} out of range"
         );
-        for i in (0..=hop).rev() {
-            self.layers[i].apply(self.fwd_counters[i], &mut cell.data);
-            self.fwd_counters[i] += 1;
+        let mut starts = [0u64; LANES];
+        for lo in (0..=hop).step_by(LANES) {
+            let layers = lo..(lo + LANES).min(hop + 1);
+            let n = layers.len();
+            for (start, i) in starts.iter_mut().zip(layers) {
+                *start = layer_start(self.keys[i], &mut self.fwd_counters[i]);
+            }
+            if lo == 0 {
+                cell.digest = keystream_group::<FOLD_INPUT>(&starts[..n], &mut cell.data);
+            } else {
+                keystream_group::<FOLD_NONE>(&starts[..n], &mut cell.data);
+            }
         }
     }
 
@@ -191,10 +223,9 @@ impl OnionRoute {
     /// Returns `None` (after consuming one count on every layer) if no
     /// layer produces a valid digest — a corrupt or misrouted cell.
     pub fn unwrap_inbound(&mut self, cell: &mut RelayCell) -> Option<usize> {
-        for i in 0..self.layers.len() {
-            self.layers[i].apply(self.bwd_counters[i], &mut cell.data);
-            self.bwd_counters[i] += 1;
-            if cell.digest_ok() {
+        for i in 0..self.keys.len() {
+            let start = layer_start(self.keys[i], &mut self.bwd_counters[i]);
+            if keystream_pass::<1, FOLD_OUTPUT>([start], &mut cell.data) == cell.digest {
                 return Some(i);
             }
         }
@@ -206,7 +237,7 @@ impl OnionRoute {
 /// per direction.
 #[derive(Clone, Debug)]
 pub struct RelayCrypt {
-    cipher: LayerCipher,
+    key: LayerKey,
     fwd_counter: u64,
     bwd_counter: u64,
 }
@@ -215,7 +246,7 @@ impl RelayCrypt {
     /// Creates relay-side state from the hop's key.
     pub fn new(key: LayerKey) -> RelayCrypt {
         RelayCrypt {
-            cipher: LayerCipher::new(key),
+            key,
             fwd_counter: 0,
             bwd_counter: 0,
         }
@@ -223,18 +254,17 @@ impl RelayCrypt {
 
     /// Strips this relay's layer from a forward cell (client → exit) and
     /// reports whether the cell is now *recognized* (digest valid ⇒ this
-    /// relay is the target and must consume it).
+    /// relay is the target and must consume it), in one pass.
     pub fn strip_forward(&mut self, cell: &mut RelayCell) -> bool {
-        self.cipher.apply(self.fwd_counter, &mut cell.data);
-        self.fwd_counter += 1;
-        cell.digest_ok()
+        let start = layer_start(self.key, &mut self.fwd_counter);
+        keystream_pass::<1, FOLD_OUTPUT>([start], &mut cell.data) == cell.digest
     }
 
     /// Adds this relay's layer to a backward cell (toward the client) —
     /// used both for cells it forwards and for cells it originates.
     pub fn add_backward(&mut self, cell: &mut RelayCell) {
-        self.cipher.apply(self.bwd_counter, &mut cell.data);
-        self.bwd_counter += 1;
+        let start = layer_start(self.key, &mut self.bwd_counter);
+        keystream_pass::<1, FOLD_NONE>([start], &mut cell.data);
     }
 }
 
@@ -242,23 +272,18 @@ impl RelayCrypt {
 ///
 /// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
 /// recognizing hop detect payload corruption in tests, nothing more — so
-/// it is built for throughput (one multiply per 8 bytes; this runs at
-/// every hop of every cell for leaky-pipe recognition), not security.
+/// it is built for throughput (one multiply per 8 bytes), not security.
+/// The onion kernel folds the same chain inside its keystream pass.
 pub fn payload_digest(data: &[u8]) -> u32 {
-    let mut h: u64 = 0x811c_9dc5_2545_f491;
+    let mut h = DIGEST_SEED;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let word = u64::from_le_bytes(chunk.try_into().expect("exact chunk"));
-        h = (h ^ word)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(23);
+        h = digest_fold(h, word);
     }
-    let mut tail = 0u64;
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        tail |= u64::from(b) << (8 * i);
-    }
-    h = (h ^ tail ^ (data.len() as u64)).wrapping_mul(0x2545_F491_4F6C_DD1D);
-    (h >> 32) as u32
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    digest_finish(h, u64::from_le_bytes(tail), data.len())
 }
 
 #[cfg(test)]
@@ -293,87 +318,39 @@ mod tests {
         assert_ne!(a.0, 0);
     }
 
+    /// One fresh relay's backward layer: the keystream for cell 0.
+    fn layer0(key: LayerKey, data: &mut Vec<u8>) {
+        let mut cell = RelayCell::data(StreamId(1), std::mem::take(data));
+        RelayCrypt::new(key).add_backward(&mut cell);
+        *data = cell.data;
+    }
+
     #[test]
-    fn cipher_is_involutive() {
-        let cipher = LayerCipher::new(LayerKey(0xDEADBEEF));
+    fn layer_is_involutive() {
         let original: Vec<u8> = (0..=255).collect();
         let mut data = original.clone();
-        cipher.apply(42, &mut data);
+        layer0(LayerKey(0xDEADBEEF), &mut data);
         assert_ne!(data, original, "keystream must change the data");
-        cipher.apply(42, &mut data);
+        layer0(LayerKey(0xDEADBEEF), &mut data);
         assert_eq!(data, original, "applying twice must restore");
     }
 
     #[test]
-    fn different_nonces_differ() {
-        let cipher = LayerCipher::new(LayerKey(7));
-        let mut a = vec![0u8; 64];
-        let mut b = vec![0u8; 64];
-        cipher.apply(1, &mut a);
-        cipher.apply(2, &mut b);
-        assert_ne!(a, b);
+    fn different_counters_differ() {
+        let mut relay = RelayCrypt::new(LayerKey(7));
+        let mut a = RelayCell::data(StreamId(1), vec![0u8; 64]);
+        let mut b = a.clone();
+        relay.add_backward(&mut a);
+        relay.add_backward(&mut b);
+        assert_ne!(a.data, b.data);
     }
 
     #[test]
-    fn zero_key_zero_nonce_still_encrypts() {
+    fn zero_key_zero_counter_still_encrypts() {
         // Engineered degenerate case: state must not collapse to zero.
-        let cipher = LayerCipher::new(LayerKey(0));
         let mut data = vec![0u8; 32];
-        cipher.apply(0, &mut data);
+        layer0(LayerKey(0), &mut data);
         assert_ne!(data, vec![0u8; 32]);
-    }
-
-    #[test]
-    fn onion_stack_round_trip_through_relays() {
-        // Client wraps 3 layers; each relay strips its own; exit sees
-        // plaintext.
-        let keys = [LayerKey(11), LayerKey(22), LayerKey(33)];
-        let mut stack = OnionStack::new();
-        for k in keys {
-            stack.push_layer(k);
-        }
-        assert_eq!(stack.len(), 3);
-
-        let plaintext = b"the quick brown onion".to_vec();
-        let mut cell = RelayCell::data(StreamId(1), plaintext.clone());
-        let nonce = 99;
-        stack.wrap_outbound(nonce, &mut cell);
-        assert_ne!(cell.data, plaintext);
-
-        // Relay 0 (guard) strips the outermost layer, then relay 1, then 2.
-        for k in keys {
-            LayerCipher::new(k).apply(nonce, &mut cell.data);
-        }
-        assert_eq!(cell.data, plaintext);
-        assert!(cell.digest_ok(), "digest computed on plaintext must verify");
-    }
-
-    #[test]
-    fn onion_stack_inbound_round_trip() {
-        let keys = [LayerKey(5), LayerKey(6)];
-        let mut stack = OnionStack::new();
-        for k in keys {
-            stack.push_layer(k);
-        }
-        let plaintext = b"reply data".to_vec();
-        let mut cell = RelayCell::data(StreamId(2), plaintext.clone());
-        let nonce = 7;
-        // Exit → client: each relay adds its layer...
-        for k in keys.iter().rev() {
-            LayerCipher::new(*k).apply(nonce, &mut cell.data);
-        }
-        // ...and the client removes them all.
-        stack.unwrap_inbound(nonce, &mut cell);
-        assert_eq!(cell.data, plaintext);
-    }
-
-    #[test]
-    fn empty_stack_is_identity() {
-        let stack = OnionStack::new();
-        assert!(stack.is_empty());
-        let mut cell = RelayCell::data(StreamId(1), vec![1, 2, 3]);
-        stack.wrap_outbound(0, &mut cell);
-        assert_eq!(cell.data, vec![1, 2, 3]);
     }
 
     /// Builds a matched client route + relay states for `n` hops.

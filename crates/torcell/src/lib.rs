@@ -9,7 +9,8 @@
 //! * [`cell`] — structures and size constants.
 //! * [`codec`] — byte-exact, error-checked wire encoding (dependency-free).
 //! * [`crypto`] — onion layering *stand-in* (size-preserving keyed
-//!   keystream; **not secure**, see module docs and DESIGN.md §2).
+//!   keystream and digest, one fused pass per hop; **not secure**, see
+//!   module docs and DESIGN.md §2).
 //!
 //! Property tests (`tests/` and the root-package proptest suite) establish
 //! `decode(encode(cell)) == cell` for every representable cell, which is
@@ -33,9 +34,7 @@ pub mod prelude {
     pub use crate::codec::{
         decode_cell, decode_feedback, encode_cell, encode_feedback, CodecError,
     };
-    pub use crate::crypto::{
-        payload_digest, LayerCipher, LayerKey, OnionRoute, OnionStack, RelayCrypt,
-    };
+    pub use crate::crypto::{payload_digest, LayerKey, OnionRoute, RelayCrypt};
     pub use crate::ids::{CellSeq, CircuitId, StreamId};
 }
 
@@ -44,5 +43,5 @@ pub use cell::{
     FEEDBACK_WIRE_LEN, HANDSHAKE_LEN, RELAY_DATA_MAX,
 };
 pub use codec::{decode_cell, decode_feedback, encode_cell, encode_feedback, CodecError};
-pub use crypto::{payload_digest, LayerCipher, LayerKey, OnionRoute, OnionStack, RelayCrypt};
+pub use crypto::{payload_digest, LayerKey, OnionRoute, RelayCrypt};
 pub use ids::{CellSeq, CircuitId, StreamId};

@@ -84,6 +84,7 @@ cargo test -q --test telemetry_sketch
 
 echo "==> bench smoke: CS_BENCH_FAST=1 (3 samples; sanity, not measurement)"
 echo "    (includes overlay/star_async_* — threaded-runtime scaling cases + pool-flatness asserts)"
+CS_BENCH_FAST=1 cargo bench -q -p cs-bench --bench bench_codec
 CS_BENCH_FAST=1 cargo bench -q -p cs-bench --bench bench_simcore
 CS_BENCH_FAST=1 cargo bench -q -p cs-bench --bench bench_overlay
 
