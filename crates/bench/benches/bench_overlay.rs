@@ -311,8 +311,8 @@ fn bench_faults(report: &mut Report) {
 }
 
 /// The async-runtime scaling case: the churning star of
-/// `star_churn_4x3x2`, sharded 8 ways and run across a work-stealing
-/// pool at 1/2/4/8 workers. Each shard is a full deterministic world
+/// `star_churn_4x3x2`, sharded 8 ways and run across a thread pool at
+/// 1/2/4/8 workers. Each shard is a full deterministic world
 /// (the oracle the differential suite compares against), so the rate
 /// measures what the runtime seam buys: end-to-end experiment
 /// throughput — the resource policy-evaluation sweeps are bounded by —

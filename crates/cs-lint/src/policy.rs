@@ -193,9 +193,9 @@ mod tests {
     fn scoping_edges() {
         let exec = classify("crates/simcore/src/exec.rs");
         assert!(!rule_applies(Rule::StrayThreads, &exec, false));
-        let chan = classify("crates/simcore/src/chan.rs");
-        assert!(rule_applies(Rule::StrayThreads, &chan, false));
-        assert!(!rule_applies(Rule::StrayThreads, &chan, true));
+        let sim = classify("crates/simcore/src/sim.rs");
+        assert!(rule_applies(Rule::StrayThreads, &sim, false));
+        assert!(!rule_applies(Rule::StrayThreads, &sim, true));
 
         let bench = classify("crates/bench/src/harness.rs");
         assert!(!rule_applies(Rule::WallClock, &bench, false));

@@ -54,9 +54,20 @@ impl TorNetwork {
             return;
         }
         self.stats.crashes_injected += 1;
-        for (circ, _) in self.nodes[overlay.index()].participations() {
+        let held = self.nodes[overlay.index()].participations();
+        for &(circ, _) in &held {
             self.reap_participation(ctx, overlay, circ);
             self.repair_severed_teardown(ctx, circ);
+        }
+        // A teardown can also be waiting on the dead relay without it
+        // holding a participation: a build torn down before reaching its
+        // hop leaves the previous hop awaiting a DESTROY echo the dead
+        // relay will never send. Circuits it held were repaired above.
+        for i in 0..self.circuits.len() {
+            let circ = CircId(i as u32);
+            if self.circuits[i].path.contains(&overlay) && !held.iter().any(|&(c, _)| c == circ) {
+                self.repair_severed_teardown(ctx, circ);
+            }
         }
     }
 

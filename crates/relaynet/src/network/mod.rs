@@ -115,241 +115,100 @@ impl Default for WorldConfig {
     }
 }
 
-/// Global protocol counters.
-///
-/// Mergeable: a sharded experiment (see `relaynet::runtime`) runs many
-/// worlds and folds their counters with [`WorldStats::merge`] into one
-/// experiment-level record — every field must therefore stay a plain
-/// sum-friendly count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorldStats {
+/// Declares [`WorldStats`] from one list. Each entry is a counter's doc,
+/// its field, its Prometheus name and its help text; the struct,
+/// [`WorldStats::merge`] and [`WorldStats::export_into`] all expand from
+/// it, so a counter cannot exist without merging and exporting.
+macro_rules! world_stats {
+    ($($(#[$doc:meta])* $field:ident => $name:literal, $help:literal;)*) => {
+        /// Global protocol counters.
+        ///
+        /// Mergeable: a sharded experiment (see `relaynet::runtime`) runs
+        /// many worlds and folds their counters with [`WorldStats::merge`]
+        /// into one experiment-level record — every field must therefore
+        /// stay a plain sum-friendly count.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct WorldStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl WorldStats {
+            /// Folds another world's counters into this record — the
+            /// shard aggregation of the async runtime. Addition is
+            /// associative and commutative, so any merge order yields the
+            /// same totals.
+            pub fn merge(&mut self, other: &WorldStats) {
+                // Exhaustive destructure (no `..`): every counter merges.
+                let WorldStats { $($field),* } = *other;
+                $(self.$field += $field;)*
+            }
+
+            /// Registers every counter in `registry` under its `cs_*_total`
+            /// name, in declaration order, and adds this record's values —
+            /// the bridge from the simulation's plain-struct counters to the
+            /// Prometheus exporter (DESIGN.md §13).
+            pub fn export_into(&self, registry: &mut MetricsRegistry) {
+                // Exhaustive destructure (no `..`): every counter exports.
+                let WorldStats { $($field),* } = *self;
+                $(
+                    let id = registry.counter($name, $help);
+                    registry.add(id, $field);
+                )*
+            }
+        }
+    };
+}
+
+world_stats! {
     /// Cell frames handed to the link layer.
-    pub cells_sent: u64,
+    cells_sent => "cs_cells_sent_total", "cell frames handed to the link layer";
     /// Feedback frames handed to the link layer.
-    pub feedback_sent: u64,
+    feedback_sent => "cs_feedback_sent_total", "feedback frames handed to the link layer";
     /// Protocol violations observed (must stay 0 in healthy runs).
-    pub protocol_errors: u64,
+    protocol_errors => "cs_protocol_errors_total", "protocol violations observed";
     /// Relay cells dropped because their circuit was torn down.
-    pub cells_dropped_closed: u64,
+    cells_dropped_closed => "cs_cells_dropped_closed_total",
+        "relay cells dropped on torn-down circuits";
     /// DESTROY cells handed to egress queues (teardown wave + echo).
     /// One full teardown of an `n`-node circuit sends exactly
     /// `2 * (n - 1)`: one per hop per wave direction.
-    pub destroys_sent: u64,
+    destroys_sent => "cs_destroys_sent_total", "destroy cells handed to egress queues";
     /// Queued cells discarded when a circuit closed (their owed
     /// feedback is still paid, so upstream windows drain).
-    pub cells_drained: u64,
+    cells_drained => "cs_cells_drained_total", "queued cells discarded at circuit close";
     /// Node-circuit slab slots reclaimed after full teardown quiescence.
-    pub slots_reclaimed: u64,
+    slots_reclaimed => "cs_slots_reclaimed_total", "node-circuit slab slots reclaimed";
     /// Circuit rebuilds performed by the churn engine.
-    pub rebuilds: u64,
+    rebuilds => "cs_rebuilds_total", "circuit rebuilds performed by the churn engine";
     /// Consensus epoch boundaries applied (directory deltas consumed).
-    pub epochs_applied: u64,
+    epochs_applied => "cs_epochs_applied_total", "consensus epoch boundaries applied";
     /// Relays brought live by epoch deltas.
-    pub relays_joined: u64,
+    relays_joined => "cs_relays_joined_total", "relays brought live by epoch deltas";
     /// Relays taken dark by epoch deltas.
-    pub relays_departed: u64,
+    relays_departed => "cs_relays_departed_total", "relays taken dark by epoch deltas";
     /// Circuit teardowns initiated because the circuit crossed a
     /// departing relay (a subset of what feeds `rebuilds`).
-    pub epoch_teardowns: u64,
+    epoch_teardowns => "cs_epoch_teardowns_total", "teardowns forced by departing relays";
     /// Relay crashes injected by the fault engine.
-    pub crashes_injected: u64,
+    crashes_injected => "cs_crashes_injected_total",
+        "relay crashes injected by the fault engine";
     /// Client circuit timers that fired genuinely (build or liveness)
     /// and triggered an abandon.
-    pub timeouts_fired: u64,
+    timeouts_fired => "cs_timeouts_fired_total", "client circuit timers fired";
     /// Timeout-driven rebuild attempts scheduled under backoff.
-    pub retries: u64,
+    retries => "cs_retries_total", "timeout-driven rebuild attempts scheduled";
     /// Relays excluded from selection after being blamed for a timeout.
-    pub blamed_exclusions: u64,
+    blamed_exclusions => "cs_blamed_exclusions_total", "relays excluded after timeout blame";
     /// Flows parked because their circuit exhausted its retry cap or the
     /// selectable relay set fell below the path length.
-    pub flows_parked: u64,
+    flows_parked => "cs_flows_parked_total", "flows parked after exhausting recovery";
     /// Frames silently dropped because their destination relay crashed.
-    pub crash_frames_dropped: u64,
+    crash_frames_dropped => "cs_crash_frames_dropped_total", "frames dropped at crashed relays";
     /// Frames for unknown routes or sequences dropped *because faults
     /// are active* (stale traffic to force-abandoned circuits); without
     /// faults these are protocol errors.
-    pub stale_frames_dropped: u64,
-}
-
-impl WorldStats {
-    /// Folds another world's counters into this record — the shard
-    /// aggregation of the async runtime. Addition is associative and
-    /// commutative, so any merge order yields the same totals.
-    pub fn merge(&mut self, other: &WorldStats) {
-        // Exhaustive destructure (no `..`): adding a counter to
-        // WorldStats without deciding how it merges is a compile error
-        // here, not a silently-zero experiment aggregate.
-        let WorldStats {
-            cells_sent,
-            feedback_sent,
-            protocol_errors,
-            cells_dropped_closed,
-            destroys_sent,
-            cells_drained,
-            slots_reclaimed,
-            rebuilds,
-            epochs_applied,
-            relays_joined,
-            relays_departed,
-            epoch_teardowns,
-            crashes_injected,
-            timeouts_fired,
-            retries,
-            blamed_exclusions,
-            flows_parked,
-            crash_frames_dropped,
-            stale_frames_dropped,
-        } = *other;
-        self.cells_sent += cells_sent;
-        self.feedback_sent += feedback_sent;
-        self.protocol_errors += protocol_errors;
-        self.cells_dropped_closed += cells_dropped_closed;
-        self.destroys_sent += destroys_sent;
-        self.cells_drained += cells_drained;
-        self.slots_reclaimed += slots_reclaimed;
-        self.rebuilds += rebuilds;
-        self.epochs_applied += epochs_applied;
-        self.relays_joined += relays_joined;
-        self.relays_departed += relays_departed;
-        self.epoch_teardowns += epoch_teardowns;
-        self.crashes_injected += crashes_injected;
-        self.timeouts_fired += timeouts_fired;
-        self.retries += retries;
-        self.blamed_exclusions += blamed_exclusions;
-        self.flows_parked += flows_parked;
-        self.crash_frames_dropped += crash_frames_dropped;
-        self.stale_frames_dropped += stale_frames_dropped;
-    }
-
-    /// Registers every counter in `registry` under a `cs_*_total` name
-    /// and adds this record's values — the bridge from the simulation's
-    /// plain-struct counters to the Prometheus exporter
-    /// (DESIGN.md §13).
-    pub fn export_into(&self, registry: &mut MetricsRegistry) {
-        // Exhaustive destructure (no `..`), same contract as `merge`:
-        // adding a counter to WorldStats without deciding how it exports
-        // is a compile error here, not a field missing from /metrics.
-        let WorldStats {
-            cells_sent,
-            feedback_sent,
-            protocol_errors,
-            cells_dropped_closed,
-            destroys_sent,
-            cells_drained,
-            slots_reclaimed,
-            rebuilds,
-            epochs_applied,
-            relays_joined,
-            relays_departed,
-            epoch_teardowns,
-            crashes_injected,
-            timeouts_fired,
-            retries,
-            blamed_exclusions,
-            flows_parked,
-            crash_frames_dropped,
-            stale_frames_dropped,
-        } = *self;
-        let mut emit = |name: &str, help: &str, value: u64| {
-            let id = registry.counter(name, help);
-            registry.add(id, value);
-        };
-        emit(
-            "cs_cells_sent_total",
-            "cell frames handed to the link layer",
-            cells_sent,
-        );
-        emit(
-            "cs_feedback_sent_total",
-            "feedback frames handed to the link layer",
-            feedback_sent,
-        );
-        emit(
-            "cs_protocol_errors_total",
-            "protocol violations observed",
-            protocol_errors,
-        );
-        emit(
-            "cs_cells_dropped_closed_total",
-            "relay cells dropped on torn-down circuits",
-            cells_dropped_closed,
-        );
-        emit(
-            "cs_destroys_sent_total",
-            "destroy cells handed to egress queues",
-            destroys_sent,
-        );
-        emit(
-            "cs_cells_drained_total",
-            "queued cells discarded at circuit close",
-            cells_drained,
-        );
-        emit(
-            "cs_slots_reclaimed_total",
-            "node-circuit slab slots reclaimed",
-            slots_reclaimed,
-        );
-        emit(
-            "cs_rebuilds_total",
-            "circuit rebuilds performed by the churn engine",
-            rebuilds,
-        );
-        emit(
-            "cs_epochs_applied_total",
-            "consensus epoch boundaries applied",
-            epochs_applied,
-        );
-        emit(
-            "cs_relays_joined_total",
-            "relays brought live by epoch deltas",
-            relays_joined,
-        );
-        emit(
-            "cs_relays_departed_total",
-            "relays taken dark by epoch deltas",
-            relays_departed,
-        );
-        emit(
-            "cs_epoch_teardowns_total",
-            "teardowns forced by departing relays",
-            epoch_teardowns,
-        );
-        emit(
-            "cs_crashes_injected_total",
-            "relay crashes injected by the fault engine",
-            crashes_injected,
-        );
-        emit(
-            "cs_timeouts_fired_total",
-            "client circuit timers fired",
-            timeouts_fired,
-        );
-        emit(
-            "cs_retries_total",
-            "timeout-driven rebuild attempts scheduled",
-            retries,
-        );
-        emit(
-            "cs_blamed_exclusions_total",
-            "relays excluded after timeout blame",
-            blamed_exclusions,
-        );
-        emit(
-            "cs_flows_parked_total",
-            "flows parked after exhausting recovery",
-            flows_parked,
-        );
-        emit(
-            "cs_crash_frames_dropped_total",
-            "frames dropped at crashed relays",
-            crash_frames_dropped,
-        );
-        emit(
-            "cs_stale_frames_dropped_total",
-            "stale frames dropped while faults are active",
-            stale_frames_dropped,
-        );
-    }
+    stale_frames_dropped => "cs_stale_frames_dropped_total",
+        "stale frames dropped while faults are active";
 }
 
 /// The DATA fill pattern's period: byte `i` of cell `idx` on circuit

@@ -7,38 +7,31 @@
 //! from *above* the loop: production-size experiments are decomposed
 //! into independent deterministic worlds (shards), and an [`Executor`]
 //! decides whether those run one after another on the calling thread or
-//! spread across a work-stealing pool. The seam mirrors the other
+//! spread across a pool of threads. The seam mirrors the other
 //! swap-points of the stack (`PendingEvents`, `CcFactory`,
 //! `PathSelection`): callers program against the trait, differential
 //! tests drive both implementations and assert bit-identical outputs.
 //!
 //! * [`DeterministicExecutor`] — runs jobs in submission order on the
 //!   calling thread. The oracle: zero concurrency, zero ambiguity.
-//! * [`ThreadedExecutor`] — a work-stealing pool of OS threads. Jobs are
-//!   pre-distributed round-robin across per-worker deques; an idle
-//!   worker steals the back half of the fullest other deque. Finished
-//!   outputs stream back through a **bounded** [`crate::chan`] channel
-//!   (the collector applies backpressure like any other consumer) and
-//!   are re-ordered by job index, so the caller observes exactly the
-//!   deterministic executor's output sequence — scheduling interleaving
-//!   can never leak into results.
+//! * [`ThreadedExecutor`] — `min(workers, jobs)` scoped OS threads
+//!   claim jobs through one shared atomic cursor, so an idle thread
+//!   always takes the next unclaimed job and uneven jobs balance
+//!   themselves. Each thread hands its `(index, output)` pairs back
+//!   when joined, and outputs are placed by job index, so the caller
+//!   observes exactly the deterministic executor's output sequence —
+//!   scheduling interleaving can never leak into results.
 //!
 //! # Contract
 //!
-//! Jobs must be independent **unless** the caller guarantees that every
-//! member of a communicating set (tasks blocking on each other through
-//! channels) is claimed by a distinct worker — i.e. the set is no larger
-//! than [`Executor::workers`]. `relaynet`'s stage-task pipeline asserts
-//! exactly that. Under the deterministic executor, communicating jobs
-//! would deadlock (there is one thread); it is for independent jobs
-//! only.
+//! Jobs must be independent: no job may wait on another. The threaded
+//! executor may run any subset of them on one thread in any order, and
+//! the deterministic executor runs them all on one. A job that panics
+//! fails the whole [`Executor::execute`] call with that panic.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use crate::chan;
 
 /// A type-erased job output (see [`execute_typed`] for the typed view).
 pub type JobOutput = Box<dyn Any + Send>;
@@ -50,11 +43,6 @@ pub type Job = Box<dyn FnOnce() -> JobOutput + Send>;
 pub trait Executor: Sync {
     /// Stable identifier for logs and bench keys.
     fn name(&self) -> &'static str;
-
-    /// Number of OS threads that can make progress concurrently (1 for
-    /// the deterministic executor). Communicating job sets must not
-    /// exceed this.
-    fn workers(&self) -> usize;
 
     /// Runs every job, returning outputs **in job order** regardless of
     /// completion order.
@@ -92,16 +80,13 @@ impl Executor for DeterministicExecutor {
         "deterministic"
     }
 
-    fn workers(&self) -> usize {
-        1
-    }
-
     fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
         jobs.into_iter().map(|job| job()).collect()
     }
 }
 
-/// A work-stealing pool of OS threads (see the [module docs](self)).
+/// A pool of OS threads sharing one job cursor (see the
+/// [module docs](self)).
 ///
 /// Threads are scoped to one [`Executor::execute`] call: the pool holds
 /// no global state between calls and cannot leak threads.
@@ -119,135 +104,51 @@ impl ThreadedExecutor {
     }
 }
 
-/// One worker's share of the job indices, stealable by the others.
-struct WorkerDeque {
-    queue: Mutex<VecDeque<usize>>,
-}
-
-impl WorkerDeque {
-    /// Takes the next index from the front of the own deque.
-    fn pop_front(&self) -> Option<usize> {
-        self.queue
-            .lock()
-            .expect("worker deque poisoned")
-            .pop_front()
-    }
-
-    /// Snapshot of the deque's length (victim selection only — may be
-    /// stale by the time a steal runs).
-    fn len(&self) -> usize {
-        self.queue.lock().expect("worker deque poisoned").len()
-    }
-
-    /// Steals roughly the back half of a victim's deque, returning the
-    /// first stolen index and pushing the rest onto `into`.
-    fn steal_into(&self, into: &WorkerDeque) -> Option<usize> {
-        let mut victim = self.queue.lock().expect("worker deque poisoned");
-        let n = victim.len();
-        if n == 0 {
-            return None;
-        }
-        let take = n.div_ceil(2);
-        let mut stolen: Vec<usize> = (0..take).filter_map(|_| victim.pop_back()).collect();
-        drop(victim);
-        // pop_back reversed the order; restore it so stolen work runs
-        // oldest-first like everything else.
-        stolen.reverse();
-        let first = stolen.first().copied();
-        if stolen.len() > 1 {
-            let mut own = into.queue.lock().expect("worker deque poisoned");
-            own.extend(stolen.drain(1..));
-        }
-        first
-    }
-}
-
 impl Executor for ThreadedExecutor {
     fn name(&self) -> &'static str {
         "threaded"
     }
 
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
     fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
         let total = jobs.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        // Job slots: each claimed exactly once by whichever worker pops
-        // (or steals) its index.
+        // Job slots: each claimed exactly once, by whichever thread's
+        // cursor increment lands on its index.
         let slots: Vec<Mutex<Option<Job>>> =
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let deques: Vec<WorkerDeque> = (0..self.workers)
-            .map(|w| WorkerDeque {
-                queue: Mutex::new((w..total).step_by(self.workers).collect()),
-            })
-            .collect();
-        let claimed = AtomicUsize::new(0);
-        // Bounded result stream: finished outputs flow back through
-        // backpressured channel like any other produced value.
-        let (tx, rx) = chan::bounded::<(usize, JobOutput)>(self.workers * 2);
-
+        let cursor = AtomicUsize::new(0);
         let mut outputs: Vec<Option<JobOutput>> = (0..total).map(|_| None).collect();
         std::thread::scope(|scope| {
-            for w in 0..self.workers {
-                let tx = tx.clone();
-                let deques = &deques;
-                let slots = &slots;
-                let claimed = &claimed;
-                scope.spawn(move || loop {
-                    let mut idx = deques[w].pop_front();
-                    if idx.is_none() {
-                        // Steal, trying every victim fullest-first: one
-                        // racy failed steal (another thief won the same
-                        // victim) must not retire this worker while
-                        // other deques still hold jobs.
-                        let mut victims: Vec<usize> =
-                            (0..deques.len()).filter(|&v| v != w).collect();
-                        victims.sort_by_key(|&v| std::cmp::Reverse(deques[v].len()));
-                        for v in victims {
-                            if let Some(stolen) = deques[v].steal_into(&deques[w]) {
-                                idx = Some(stolen);
-                                break;
-                            }
+            let threads: Vec<_> = (0..self.workers.min(total))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            // Relaxed suffices: the cursor only hands out
+                            // indices; each job moves through its slot's
+                            // mutex and each output back through `join`.
+                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(slot) = slots.get(idx) else {
+                                break done;
+                            };
+                            let job = slot
+                                .lock()
+                                .expect("job slot poisoned")
+                                .take()
+                                .expect("job claimed twice");
+                            done.push((idx, job()));
                         }
-                    }
-                    let Some(idx) = idx else {
-                        // Nothing visible anywhere. Only retire once every
-                        // index is provably claimed; below that, an index
-                        // may be transiently in another thief's hands
-                        // (between its victim pop and its own push), so
-                        // yield and rescan. A stale low read just retries;
-                        // claimed == total is only ever written once all
-                        // jobs are claimed, so exit cannot be premature.
-                        if claimed.load(Ordering::Relaxed) == total {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    claimed.fetch_add(1, Ordering::Relaxed);
-                    let job = slots[idx]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job claimed twice");
-                    if tx.send((idx, job())).is_err() {
-                        break; // collector gone: abandon ship
-                    }
-                });
-            }
-            drop(tx);
-            for _ in 0..total {
-                let (idx, out) = rx
-                    .recv()
-                    .expect("a worker panicked before delivering its job output");
-                outputs[idx] = Some(out);
+                    })
+                })
+                .collect();
+            for thread in threads {
+                let done = thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (idx, out) in done {
+                    outputs[idx] = Some(out);
+                }
             }
         });
-        debug_assert_eq!(claimed.load(Ordering::Relaxed), total);
         outputs
             .into_iter()
             .map(|o| o.expect("every job delivered exactly one output"))
@@ -284,7 +185,7 @@ mod tests {
     fn threaded_preserves_job_order_in_outputs() {
         for workers in [1, 2, 4, 8] {
             let exec = ThreadedExecutor::new(workers);
-            assert_eq!(exec.workers(), workers);
+            assert_eq!(exec.workers, workers);
             let jobs: Vec<_> = (0..50u64).map(squares_job).collect();
             let out = execute_typed(&exec, jobs);
             assert_eq!(
@@ -325,10 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // Worker 0's deque holds one huge job followed by many small
-        // ones; with stealing the wall time is bounded by the huge job,
-        // and — observable without timing — every job still completes.
+    fn uneven_jobs_all_complete_in_order() {
+        // Job 0 is huge and the rest are small: while one thread is stuck
+        // on it the others drain the cursor, so the wall time is bounded
+        // by the huge job and — observable without timing — every job
+        // still completes.
         let exec = ThreadedExecutor::new(4);
         let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..40u64)
             .map(|i| {
@@ -345,6 +247,31 @@ mod tests {
             .collect();
         let out = execute_typed(&exec, jobs);
         assert_eq!(out, (0..40u64).collect::<Vec<_>>());
+    }
+
+    /// Runs 20 jobs on `workers` threads; job 5 panics.
+    fn run_with_a_panicking_job(workers: usize) {
+        let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..20u64)
+            .map(|i| {
+                Box::new(move || {
+                    assert_ne!(i, 5, "job 5 failed");
+                    i
+                }) as Box<dyn FnOnce() -> u64 + Send>
+            })
+            .collect();
+        let _ = execute_typed(&ThreadedExecutor::new(workers), jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn a_panicking_job_fails_the_call_at_every_worker_count() {
+        // The call must re-raise the job's panic, not hang waiting for
+        // an output that never comes.
+        for workers in [1, 2] {
+            let failed = std::panic::catch_unwind(|| run_with_a_panicking_job(workers)).is_err();
+            assert!(failed, "{workers} workers swallowed a job panic");
+        }
+        run_with_a_panicking_job(4);
     }
 
     #[test]
@@ -365,7 +292,7 @@ mod tests {
     #[test]
     fn zero_worker_request_clamps_to_one() {
         let exec = ThreadedExecutor::new(0);
-        assert_eq!(exec.workers(), 1);
+        assert_eq!(exec.workers, 1);
         let out = execute_typed(&exec, (0..3u64).map(squares_job).collect());
         assert_eq!(out, vec![0, 1, 4]);
     }

@@ -12,7 +12,6 @@
 //! * [`registry`] — named counters and gauges behind cheap handles, with
 //!   order-independent merge.
 //! * [`summary`] — streaming mean/variance/min/max (Welford).
-//! * [`histogram`] — fixed-bin histograms for queue and RTT distributions.
 //! * [`export`] — CSV, gnuplot, and Prometheus-text writers
 //!   (dependency-free by design).
 //! * [`ascii`] — terminal plots for the bench binaries.
@@ -26,7 +25,6 @@
 pub mod ascii;
 pub mod cdf;
 pub mod export;
-pub mod histogram;
 pub mod registry;
 pub mod sketch;
 pub mod summary;
@@ -35,7 +33,6 @@ pub mod timeseries;
 pub use ascii::{plot_lines, PlotConfig};
 pub use cdf::Cdf;
 pub use export::{prometheus_text, Table};
-pub use histogram::Histogram;
 pub use registry::{MetricId, MetricKind, MetricsRegistry};
 pub use sketch::QuantileSketch;
 pub use summary::Summary;

@@ -1,5 +1,5 @@
 //! The async-runtime experiment sweep: every selection policy evaluated
-//! over a sharded star experiment on the work-stealing thread pool,
+//! over a sharded star experiment on the threaded executor's pool,
 //! with the deterministic single-threaded runtime verified as the
 //! oracle *inside the same run*.
 //!
@@ -74,9 +74,8 @@ fn main() {
     let pool = ThreadedExecutor::new(workers);
 
     println!(
-        "async policy sweep: {shards} shards x {} circuits, {} workers ({})\n",
+        "async policy sweep: {shards} shards x {} circuits, {workers} workers ({})\n",
         3,
-        pool.workers(),
         pool.name()
     );
     println!(

@@ -73,7 +73,7 @@ cargo run -q --release --example fault_storm
 echo "==> smoke: cargo run --example telemetry_scale (7k-relay sketch quantiles + Prometheus golden file)"
 cargo run -q --release --example telemetry_scale
 
-echo "==> threaded-runtime differential suite (oracle fingerprints, deadlock stress)"
+echo "==> threaded-runtime differential suite (oracle fingerprints)"
 cargo test -q --test async_runtime
 
 echo "==> fault-recovery suite (conservation + fingerprint invariance under faults)"

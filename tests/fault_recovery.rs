@@ -29,7 +29,7 @@ use relaynet::builder::{baseline_factory, fixed_window_factory};
 use relaynet::runtime::{fingerprint, ShardedStar, StatsKind};
 use relaynet::sampler::SamplerKind;
 use relaynet::selection::{all_policies, CongestionAware};
-use relaynet::workload::{ArrivalSpec, EpochSpec, FaultSpec, WorkloadSpec};
+use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
 use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldConfig};
 use simcore::event::QueueKind;
 use simcore::exec::{DeterministicExecutor, ThreadedExecutor};
@@ -359,6 +359,48 @@ fn teardown_storm_keeps_ledger_and_pool_exact() {
             );
             assert!(world.verify_placement_ledger());
             assert_quiescent(world);
+        }
+    });
+}
+
+/// Churn teardowns racing crashes: a lineage torn down mid-build whose
+/// not-yet-reached hop then crashes never gets the DESTROY echo its
+/// teardown waits for, so only the crash can finish the teardown. Every
+/// flow must still either complete or be counted as parked — none may
+/// be stranded half-delivered by a lineage that never rebuilds.
+#[test]
+fn crash_on_a_torn_down_path_never_strands_its_flows() {
+    with_watchdog(|| {
+        let scenario = StarScenario {
+            file_bytes: 40_000,
+            workload: WorkloadSpec {
+                streams_per_circuit: 2,
+                arrival: ArrivalSpec::Immediate,
+                churn: Some(ChurnSpec {
+                    teardown_after_ms: (2.0, 12.0),
+                    rebuild_delay_ms: 2.0,
+                    cycles: 3,
+                }),
+            },
+            ..faulty_star(FaultSpec {
+                crashes: 4,
+                crash_window_ms: (5.0, 60.0),
+                ..lenient()
+            })
+        };
+        for seed in 0..32 {
+            let (mut sim, _) = scenario.build(baseline_factory(Default::default()), seed);
+            let report = sim.run();
+            assert_eq!(report.reason, StopReason::QueueEmpty, "seed {seed}");
+            let world = sim.world();
+            let incomplete = world.flows().iter().filter(|f| !f.complete()).count() as u64;
+            assert_eq!(
+                incomplete,
+                world.stats().flows_parked,
+                "seed {seed}: flows stranded neither complete nor parked"
+            );
+            assert_quiescent(world);
+            assert!(world.verify_placement_ledger(), "seed {seed}: ledger");
         }
     });
 }

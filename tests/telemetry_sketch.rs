@@ -16,6 +16,11 @@
 //!    shuffle of the shard order produces the identical experiment
 //!    aggregate — the property the exhaustive-destructure merge in
 //!    `ShardedStar::run` preserves.
+//!
+//! It also pins the Prometheus families `WorldStats::export_into`
+//! registers — every counter's name, help text and order — against the
+//! golden file the `telemetry_scale` example checks its exposition
+//! against.
 
 use std::sync::Arc;
 
@@ -31,6 +36,8 @@ use simcore::event::QueueKind;
 use simcore::exec::DeterministicExecutor;
 use simcore::rng::SimRng;
 use simstats::cdf::Cdf;
+use simstats::export::prometheus_text;
+use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
 
 /// The async-runtime suite's churning star, kept small: the sketch
@@ -221,4 +228,29 @@ fn exact_cdf_rank_boundaries_hold_on_experiment_output() {
             "q={k}/{n} must select the rank-{k} sample"
         );
     }
+}
+
+/// The `# HELP` / `# TYPE` lines of every `*_total` family in a
+/// Prometheus exposition, in exposition order.
+fn counter_family_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|line| {
+            let mut words = line.split(' ');
+            words.next() == Some("#")
+                && matches!(words.next(), Some("HELP" | "TYPE"))
+                && words.next().is_some_and(|name| name.ends_with("_total"))
+        })
+        .collect()
+}
+
+#[test]
+fn world_stats_exposition_matches_the_golden_families() {
+    let mut registry = MetricsRegistry::new();
+    WorldStats::default().export_into(&mut registry);
+    assert_eq!(registry.len(), 19, "one family per WorldStats counter");
+    let exported = prometheus_text(&registry, &[]);
+    let golden = include_str!("golden/telemetry_scale.prom");
+    let got = counter_family_lines(&exported);
+    assert_eq!(got.len(), 2 * 19);
+    assert_eq!(got, counter_family_lines(golden));
 }
