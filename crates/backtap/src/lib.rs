@@ -28,7 +28,6 @@
 //! `relaynet` crate wires transports to the simulated network.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod cc;
 pub mod config;

@@ -433,8 +433,8 @@ fn bench_telemetry(report: &mut Report) {
 
     report.bench_with_rate("telemetry/merge_16shard/sort", total, "samples/s", || {
         let mut all: Vec<f64> = shard_samples.iter().flatten().copied().collect();
-        all.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let cdf = simstats::Cdf::from_samples(all).unwrap();
+        all.sort_unstable_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+        let cdf = simstats::Cdf::from_samples(all).expect("samples are non-empty and finite");
         std::hint::black_box(cdf.p99());
     });
     report.bench_with_rate("telemetry/merge_16shard/sketch", total, "samples/s", || {
@@ -457,8 +457,8 @@ fn bench_telemetry(report: &mut Report) {
     assert_eq!(merged.bucket_len(), empty.bucket_len());
     assert_eq!(merged.len(), SHARDS as u64 * PER_SHARD as u64);
     let mut all: Vec<f64> = shard_samples.iter().flatten().copied().collect();
-    all.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-    let exact = simstats::Cdf::from_samples(all).unwrap();
+    all.sort_unstable_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+    let exact = simstats::Cdf::from_samples(all).expect("samples are non-empty and finite");
     for q in [0.5, 0.99, 0.999] {
         let e = exact.quantile(q);
         assert!(

@@ -10,6 +10,11 @@
 //! `load`, `midflow`, `policies`. Each prints a table and writes
 //! `target/figures/ablation_<name>.dat`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "a figure binary reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use cs_bench::{write_figure, Options};
 use netsim::bandwidth::Bandwidth;
@@ -225,8 +230,14 @@ fn sweep_load() {
         cfg.repetitions = 1;
         cfg.algorithms = vec![Algorithm::CircuitStart, Algorithm::NoSlowStart];
         let report = run_cdf(&cfg);
-        let cs = &report.get("circuitstart").unwrap().cdf;
-        let bt = &report.get("no-slow-start").unwrap().cdf;
+        let cs = &report
+            .get("circuitstart")
+            .expect("the sweep runs circuitstart")
+            .cdf;
+        let bt = &report
+            .get("no-slow-start")
+            .expect("the sweep runs no-slow-start")
+            .cdf;
         println!(
             "  {circuits:>8}  {:>10.3}/{:<10.3}  {:>10.3}/{:<10.3}",
             cs.median(),
@@ -261,7 +272,10 @@ fn sweep_policies() {
         cfg.star.circuits = 25;
         cfg.repetitions = 1;
         let report = run_cdf(&cfg);
-        let cdf = &report.get("circuitstart").unwrap().cdf;
+        let cdf = &report
+            .get("circuitstart")
+            .expect("the sweep runs circuitstart")
+            .cdf;
         println!(
             "  {:<12}  {:>9.3}  {:>9.3}  {:>9.3}",
             policy.name(),
@@ -311,10 +325,13 @@ fn sweep_midflow() {
         let world = sim.world();
         let result = world.result_of(handles.circ);
         assert!(result.completed);
-        let ttlb = result.transfer_time().unwrap().as_secs_f64();
+        let ttlb = result
+            .transfer_time()
+            .expect("a completed circuit has a transfer time")
+            .as_secs_f64();
         let post_peak = world
             .source_cwnd_trace(handles.circ)
-            .unwrap()
+            .expect("the source records a cwnd trace")
             .iter()
             .filter(|&&(t, _)| t > SimTime::from_millis(500))
             .map(|&(_, c)| c)

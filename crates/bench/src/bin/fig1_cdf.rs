@@ -11,6 +11,11 @@
 //! Prints the staircase points the paper plots and writes
 //! `target/figures/fig1_cdf_<algo>.dat` (columns: `ttlb_s cum_fraction`).
 
+#![expect(
+    clippy::print_stdout,
+    reason = "a figure binary reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use cs_bench::{write_figure, Options};
 use simstats::ascii::{plot_lines, PlotConfig};

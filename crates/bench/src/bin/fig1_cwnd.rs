@@ -12,6 +12,11 @@
 //! `target/figures/fig1_cwnd_d<k>_<algo>.dat` (columns: `time_ms
 //! cwnd_kib optimal_kib`, time re-based to transfer start).
 
+#![expect(
+    clippy::print_stdout,
+    reason = "a figure binary reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use cs_bench::{write_figure, Options};
 use simstats::ascii::{plot_lines, PlotConfig};

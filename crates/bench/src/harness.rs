@@ -236,6 +236,10 @@ fn bench_with_samples<F: FnMut()>(name: &str, samples: usize, mut f: F) -> Measu
     // target sample duration.
     let mut iters: u64 = 1;
     loop {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the bench harness exists to read the host clock; no simulated world sees it"
+        )]
         let t = Instant::now();
         for _ in 0..iters {
             f();
@@ -255,6 +259,10 @@ fn bench_with_samples<F: FnMut()>(name: &str, samples: usize, mut f: F) -> Measu
 
     let mut per_iter: Vec<f64> = (0..samples)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the bench harness exists to read the host clock; no simulated world sees it"
+            )]
             let t = Instant::now();
             for _ in 0..iters {
                 f();

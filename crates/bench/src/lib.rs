@@ -21,7 +21,10 @@
 //! drift apart.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "the bench harness and figure writer report to the terminal by design"
+)]
 
 pub mod harness;
 

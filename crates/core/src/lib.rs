@@ -45,7 +45,6 @@
 //! * [`presets`] — the exact parameterizations used by EXPERIMENTS.md.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod algorithm;

@@ -574,23 +574,20 @@ mod tests {
     #[test]
     fn allow_suppresses_next_code_line_only() {
         let src = "\
-// cs-lint: allow(nondeterministic-iteration, reason = \"membership only\")
-use std::collections::HashSet;
-use std::collections::HashMap;
+// cs-lint: allow(rng-discipline, reason = \"stream handed to one consumer\")
+let a = master.derive(\"a\");
+let b = master.derive(\"b\");
 ";
         let f = scan_source("crates/relaynet/src/x.rs", src);
-        assert_eq!(
-            rules_of(&f),
-            vec![("nondeterministic-iteration".to_string(), 3)]
-        );
+        assert_eq!(rules_of(&f), vec![("rng-discipline".to_string(), 3)]);
     }
 
     #[test]
     fn allow_skips_doc_comments_between() {
         let src = "\
-// cs-lint: allow(nondeterministic-iteration, reason = \"membership only\")
-/// Documented field.
-struct S { m: HashSet<u64> }
+// cs-lint: allow(rng-discipline, reason = \"stream handed to one consumer\")
+/// Documented item.
+fn f(m: &SimRng) -> SimRng { m.derive(\"a\") }
 ";
         let f = scan_source("crates/relaynet/src/x.rs", src);
         assert!(f.is_empty(), "{f:?}");
@@ -599,9 +596,9 @@ struct S { m: HashSet<u64> }
     #[test]
     fn stacked_allows_bind_to_same_line() {
         let src = "\
-// cs-lint: allow(nondeterministic-iteration, reason = \"fixture\")
-// cs-lint: allow(no-bare-unwrap-in-lib, reason = \"fixture\")
-fn f(m: HashMap<u8, u8>) { m.get(&1).unwrap(); }
+// cs-lint: allow(rng-discipline, reason = \"fixture\")
+// cs-lint: allow(float-accumulation-in-merge, reason = \"fixture\")
+fn merge_all(m: &SimRng, xs: &[f64]) -> f64 { m.derive(\"a\").f64() + xs.iter().sum::<f64>() }
 ";
         let f = scan_source("crates/relaynet/src/x.rs", src);
         assert!(f.is_empty(), "{f:?}");
@@ -610,35 +607,35 @@ fn f(m: HashMap<u8, u8>) { m.get(&1).unwrap(); }
     #[test]
     fn wrong_rule_does_not_suppress_and_is_itself_flagged() {
         let src = "\
-// cs-lint: allow(wall-clock, reason = \"mismatched\")
-use std::collections::HashMap;
+// cs-lint: allow(float-accumulation-in-merge, reason = \"mismatched\")
+let a = master.derive(\"a\");
 ";
         let f = scan_source("crates/relaynet/src/x.rs", src);
         assert_eq!(
             rules_of(&f),
             vec![
                 (UNUSED_ALLOW.to_string(), 1),
-                ("nondeterministic-iteration".to_string(), 2)
+                ("rng-discipline".to_string(), 2)
             ]
         );
     }
 
     #[test]
     fn unused_allow_fires_even_with_no_code_after_it() {
-        let src = "fn fine() {}\n// cs-lint: allow(wall-clock, reason = \"stale\")\n";
+        let src = "fn fine() {}\n// cs-lint: allow(rng-discipline, reason = \"stale\")\n";
         let f = scan_source("crates/relaynet/src/x.rs", src);
         assert_eq!(rules_of(&f), vec![(UNUSED_ALLOW.to_string(), 2)]);
     }
 
     #[test]
     fn allow_suppressing_a_policy_exempt_site_is_unused() {
-        // wall-clock does not apply in cs-bench, so the allow is dead
-        // weight and unused-allow says so.
+        // rng-discipline does not apply in a scenario builder, so the
+        // allow is dead weight and unused-allow says so.
         let src = "\
-// cs-lint: allow(wall-clock, reason = \"bench timing\")
-let t = std::time::Instant::now();
+// cs-lint: allow(rng-discipline, reason = \"builder stream\")
+let s = master.derive(\"a\");
 ";
-        let f = scan_source("crates/bench/src/x.rs", src);
+        let f = scan_source("crates/relaynet/src/builder.rs", src);
         assert_eq!(rules_of(&f), vec![(UNUSED_ALLOW.to_string(), 1)]);
     }
 
@@ -646,9 +643,11 @@ let t = std::time::Instant::now();
     fn malformed_annotations_are_findings() {
         for bad in [
             "// cs-lint: allow(unknown-rule, reason = \"x\")",
-            "// cs-lint: allow(wall-clock)",
-            "// cs-lint: allow(wall-clock, reason = \"\")",
-            "// cs-lint: disallow(wall-clock, reason = \"x\")",
+            "// cs-lint: allow(rng-discipline)",
+            "// cs-lint: allow(rng-discipline, reason = \"\")",
+            "// cs-lint: disallow(rng-discipline, reason = \"x\")",
+            // Rules that clippy enforces have no cs-lint annotation form.
+            "// cs-lint: allow(wall-clock, reason = \"x\")",
             // The engine-level rules have no annotation form at all.
             "// cs-lint: allow(unused-allow, reason = \"x\")",
             "// cs-lint: allow(malformed-annotation, reason = \"x\")",
@@ -659,7 +658,7 @@ let t = std::time::Instant::now();
         // Trailing-position annotation is malformed even when parseable.
         let f = scan_source(
             "crates/relaynet/src/x.rs",
-            "let x = 1; // cs-lint: allow(wall-clock, reason = \"x\")",
+            "let x = 1; // cs-lint: allow(rng-discipline, reason = \"x\")",
         );
         assert_eq!(rules_of(&f), vec![(MALFORMED.to_string(), 1)]);
         // A plain comment mentioning the tool is not an annotation.
@@ -673,15 +672,15 @@ let t = std::time::Instant::now();
     #[test]
     fn cfg_test_regions_are_exempt_where_policy_says() {
         let src = "\
-fn lib_code() { std::thread::spawn(|| {}); }
+fn lib_code(m: &SimRng) { m.derive(\"a\"); }
 
 #[cfg(test)]
 mod tests {
-    fn helper() { std::thread::spawn(|| {}); }
+    fn helper(m: &SimRng) { m.derive(\"a\"); }
 }
 ";
-        let f = scan_source("crates/simcore/src/sim.rs", src);
-        assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 1)]);
+        let f = scan_source("crates/relaynet/src/x.rs", src);
+        assert_eq!(rules_of(&f), vec![("rng-discipline".to_string(), 1)]);
     }
 
     #[test]
@@ -689,11 +688,11 @@ mod tests {
         let src = "\
 #[cfg(not(test))]
 mod prod {
-    fn f() { std::thread::spawn(|| {}); }
+    fn f(m: &SimRng) { m.derive(\"a\"); }
 }
 ";
-        let f = scan_source("crates/simcore/src/sim.rs", src);
-        assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 3)]);
+        let f = scan_source("crates/relaynet/src/x.rs", src);
+        assert_eq!(rules_of(&f), vec![("rng-discipline".to_string(), 3)]);
     }
 
     #[test]
@@ -701,24 +700,24 @@ mod prod {
         let src = "\
 #[cfg(test)]
 use helper::thing;
-fn f() { std::thread::spawn(|| {}); }
+fn f(m: &SimRng) { m.derive(\"a\"); }
 ";
-        let f = scan_source("crates/simcore/src/sim.rs", src);
-        assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 3)]);
+        let f = scan_source("crates/relaynet/src/x.rs", src);
+        assert_eq!(rules_of(&f), vec![("rng-discipline".to_string(), 3)]);
     }
 
     #[test]
-    fn hash_rule_reaches_cfg_test_in_visible_crates() {
+    fn float_rule_reaches_cfg_test_regions() {
         let src = "\
 #[cfg(test)]
 mod tests {
-    fn f() { let mut s = std::collections::HashSet::new(); s.insert(1); }
+    fn merge_all(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }
 }
 ";
         let f = scan_source("crates/torcell/src/ids.rs", src);
         assert_eq!(
             rules_of(&f),
-            vec![("nondeterministic-iteration".to_string(), 3)]
+            vec![("float-accumulation-in-merge".to_string(), 3)]
         );
     }
 
@@ -729,15 +728,9 @@ fn stamp() -> u64 { let _ = std::time::Instant::now(); 0 }
 pub fn wraps() -> u64 { stamp() }
 ";
         let f = scan_source("crates/relaynet/src/x.rs", src);
-        assert_eq!(
-            rules_of(&f),
-            vec![
-                ("wall-clock".to_string(), 1),
-                ("transitive-wall-clock".to_string(), 2)
-            ]
-        );
+        assert_eq!(rules_of(&f), vec![("transitive-wall-clock".to_string(), 2)]);
         // The transitive finding carries its call chain.
-        assert!(f[1]
+        assert!(f[0]
             .message
             .contains("`wraps` reaches a wall-clock read via stamp"));
     }

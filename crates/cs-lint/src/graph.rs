@@ -181,7 +181,8 @@ impl<'a> Analysis<'a> {
                 };
                 let caller = (fi, gi);
                 let w = tok.text(file.src);
-                // Direct sink sites (same shapes as the token rules).
+                // Direct sink sites: the spelled-out clock and thread
+                // paths that clippy bans.
                 if (w == "Instant" && text(i + 1) == "::" && text(i + 2) == "now")
                     || w == "SystemTime"
                 {
@@ -385,8 +386,9 @@ impl<'a> Analysis<'a> {
                     }
                 }
             }
-            // A direct sink already fires the token-level rule; the
-            // transitive rule covers the *callers*.
+            // A direct sink is clippy's `disallowed_methods` finding
+            // (or its `#[expect]`); the transitive rule covers the
+            // *callers*, which clippy never sees.
             for (&caller, callees) in &self.calls {
                 if self.direct.get(&caller).is_some_and(|s| s.contains(&sink)) {
                     continue;

@@ -11,6 +11,12 @@
 //! `--apply` is given, which writes each annotation above its finding
 //! with a placeholder reason the author must then rewrite).
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI reports on stdout and stderr by design"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

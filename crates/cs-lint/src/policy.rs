@@ -6,19 +6,16 @@
 //! rule). Paths are workspace-relative with `/` separators.
 
 /// What kind of compilation target a file belongs to, derived from its
-/// path by Cargo's layout conventions.
+/// path by Cargo's layout conventions, as far as a rule's scope
+/// depends on it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TargetKind {
-    /// `src/**` of a package — the library surface other code links.
-    Lib,
-    /// `src/main.rs` or `src/bin/**` — a binary entry point.
-    Bin,
     /// `tests/**` — an integration-test target.
     TestFile,
     /// `benches/**` — a bench target.
     BenchFile,
-    /// `examples/**` — a runnable example.
-    ExampleFile,
+    /// Library, binary and example sources.
+    Other,
 }
 
 /// Where a file sits in the workspace.
@@ -54,12 +51,8 @@ pub fn classify(rel_path: &str) -> FileCtx {
         TargetKind::TestFile
     } else if within.starts_with("benches/") {
         TargetKind::BenchFile
-    } else if within.starts_with("examples/") {
-        TargetKind::ExampleFile
-    } else if within.starts_with("src/bin/") || within == "src/main.rs" {
-        TargetKind::Bin
     } else {
-        TargetKind::Lib
+        TargetKind::Other
     };
     FileCtx {
         rel_path: rel_path.to_string(),
@@ -69,15 +62,15 @@ pub fn classify(rel_path: &str) -> FileCtx {
 }
 
 /// Crates whose state is *not* fingerprint-visible, and therefore exempt
-/// from `nondeterministic-iteration`:
+/// from `exhaustive-destructure`:
 /// * `netsim` / `circuitstart` (core) — pure functions of their inputs,
-///   no keyed collections feed `WorldFingerprint`;
+///   nothing they merge feeds `WorldFingerprint`;
 /// * `cs-bench` / `cs-lint` — tooling, never inside a simulated world;
 /// * `circuitstart-repro` — the root package (integration tests pin
 ///   fingerprints but do not produce them).
 ///
 /// Every other crate — present or future — is in scope.
-const HASH_EXEMPT_CRATES: &[&str] = &[
+const NOT_FINGERPRINT_VISIBLE: &[&str] = &[
     "netsim",
     "circuitstart",
     "cs-bench",
@@ -94,7 +87,8 @@ const RNG_BUILDER_FILES: &[&str] = &[
     "crates/relaynet/src/runtime.rs",
 ];
 
-/// The one module allowed to spawn threads: the executor seam.
+/// The executor seam: the one module whose thread creation (a clippy
+/// `#[expect]`) does not count as reaching a thread sink.
 const THREAD_HOME: &str = "crates/simcore/src/exec.rs";
 
 /// Decides whether `rule` applies at a site.
@@ -104,17 +98,6 @@ const THREAD_HOME: &str = "crates/simcore/src/exec.rs";
 pub fn rule_applies(rule: crate::rules::Rule, ctx: &FileCtx, test_code: bool) -> bool {
     use crate::rules::Rule::*;
     match rule {
-        // Fingerprint-visible crates must not touch unordered maps even
-        // in tests: a test asserting over HashMap iteration order flakes
-        // across std versions exactly like production code would.
-        NondetIteration => !HASH_EXEMPT_CRATES.contains(&ctx.krate.as_str()),
-        // Results must be a function of the seed everywhere but the
-        // bench harness, whose whole job is reading the host clock.
-        WallClock => ctx.krate != "cs-bench",
-        // Hidden parallelism is banned outside the executor seam; test
-        // code is exempt so watchdog threads in differential suites stay
-        // annotation-free (they never touch world state).
-        StrayThreads => !test_code && ctx.rel_path != THREAD_HOME,
         // The PR 8 bug class: order-sensitive f64 accumulation in merge
         // functions. No exemptions — a test merging floats is as
         // order-sensitive as a shard aggregator.
@@ -129,26 +112,21 @@ pub fn rule_applies(rule: crate::rules::Rule, ctx: &FileCtx, test_code: bool) ->
                 && ctx.kind != TargetKind::BenchFile
                 && !RNG_BUILDER_FILES.contains(&ctx.rel_path.as_str())
         }
-        // Library code reports through simstats, not stdout. Binaries,
-        // examples, benches, and the bench harness print by design.
-        NoPrintlnInLib => ctx.kind == TargetKind::Lib && !test_code && ctx.krate != "cs-bench",
-        // Library panics must name their invariant.
-        NoBareUnwrapInLib => ctx.kind == TargetKind::Lib && !test_code,
-        // The transitive closures mirror their token-level rules'
-        // crate/file exemptions but additionally skip test code: the
-        // direct rules already police test files where policy wants
-        // them to, and a test calling a timing/watchdog helper is not a
-        // determinism leak (world state never flows through it).
+        // The transitive closures exempt the two homes of the sinks —
+        // cs-bench for the clock, the executor seam for threads — and
+        // test code: a test calling a timing/watchdog helper is not a
+        // determinism leak (world state never flows through it). The
+        // direct sinks themselves are clippy's `disallowed_methods`.
         TransitiveWallClock => !test_code && ctx.krate != "cs-bench",
         TransitiveThreads => !test_code && ctx.rel_path != THREAD_HOME,
         // Aliased RNG streams are a bug wherever they happen — builder
         // files and tests included: two sites consuming one stream
         // break bit-identity pins no matter who minted the parent.
         RngStreamCollision => true,
-        // Exhaustive binding is enforced exactly where unordered-map
-        // iteration is: crates whose state feeds `WorldFingerprint` or
-        // mergeable telemetry. Tooling crates keep ad-hoc merges.
-        ExhaustiveDestructure => !HASH_EXEMPT_CRATES.contains(&ctx.krate.as_str()),
+        // Exhaustive binding is enforced in crates whose state feeds
+        // `WorldFingerprint` or mergeable telemetry. Tooling crates keep
+        // ad-hoc merges.
+        ExhaustiveDestructure => !NOT_FINGERPRINT_VISIBLE.contains(&ctx.krate.as_str()),
     }
 }
 
@@ -160,13 +138,13 @@ mod tests {
     #[test]
     fn classification_by_layout() {
         let c = classify("crates/relaynet/src/network/mod.rs");
-        assert_eq!((c.krate.as_str(), c.kind), ("relaynet", TargetKind::Lib));
+        assert_eq!((c.krate.as_str(), c.kind), ("relaynet", TargetKind::Other));
         let c = classify("crates/bench/src/bin/ablations.rs");
-        assert_eq!((c.krate.as_str(), c.kind), ("cs-bench", TargetKind::Bin));
+        assert_eq!((c.krate.as_str(), c.kind), ("cs-bench", TargetKind::Other));
         let c = classify("crates/core/src/lib.rs");
         assert_eq!(
             (c.krate.as_str(), c.kind),
-            ("circuitstart", TargetKind::Lib)
+            ("circuitstart", TargetKind::Other)
         );
         let c = classify("tests/queue_equivalence.rs");
         assert_eq!(
@@ -174,9 +152,7 @@ mod tests {
             ("circuitstart-repro", TargetKind::TestFile)
         );
         let c = classify("examples/quickstart.rs");
-        assert_eq!(c.kind, TargetKind::ExampleFile);
-        let c = classify("crates/cs-lint/src/main.rs");
-        assert_eq!((c.krate.as_str(), c.kind), ("cs-lint", TargetKind::Bin));
+        assert_eq!(c.kind, TargetKind::Other);
         let c = classify("crates/simcore/benches/x.rs");
         assert_eq!(c.kind, TargetKind::BenchFile);
     }
@@ -184,24 +160,13 @@ mod tests {
     #[test]
     fn unknown_crates_are_scoped_by_default() {
         let c = classify("crates/newcrate/src/lib.rs");
-        assert!(rule_applies(Rule::NondetIteration, &c, false));
-        assert!(rule_applies(Rule::WallClock, &c, false));
-        assert!(rule_applies(Rule::NoBareUnwrapInLib, &c, false));
+        assert!(rule_applies(Rule::RngDiscipline, &c, false));
+        assert!(rule_applies(Rule::TransitiveWallClock, &c, false));
+        assert!(rule_applies(Rule::ExhaustiveDestructure, &c, false));
     }
 
     #[test]
     fn scoping_edges() {
-        let exec = classify("crates/simcore/src/exec.rs");
-        assert!(!rule_applies(Rule::StrayThreads, &exec, false));
-        let sim = classify("crates/simcore/src/sim.rs");
-        assert!(rule_applies(Rule::StrayThreads, &sim, false));
-        assert!(!rule_applies(Rule::StrayThreads, &sim, true));
-
-        let bench = classify("crates/bench/src/harness.rs");
-        assert!(!rule_applies(Rule::WallClock, &bench, false));
-        assert!(!rule_applies(Rule::NoPrintlnInLib, &bench, false));
-        assert!(rule_applies(Rule::NoBareUnwrapInLib, &bench, false));
-
         let builder = classify("crates/relaynet/src/builder.rs");
         assert!(!rule_applies(Rule::RngDiscipline, &builder, false));
         let bench_target = classify("crates/bench/benches/bench_overlay.rs");
@@ -210,12 +175,9 @@ mod tests {
         assert!(rule_applies(Rule::RngDiscipline, &sel, false));
         assert!(!rule_applies(Rule::RngDiscipline, &sel, true));
 
-        // Hash rule reaches tests of fingerprint-visible crates…
-        let ids = classify("crates/torcell/src/ids.rs");
-        assert!(rule_applies(Rule::NondetIteration, &ids, true));
-        // …but not the exempt crates.
+        // Float accumulation in a merge has no exemptions, tests included.
         let net = classify("crates/netsim/src/lib.rs");
-        assert!(!rule_applies(Rule::NondetIteration, &net, false));
+        assert!(rule_applies(Rule::FloatAccumulationInMerge, &net, true));
     }
 
     #[test]

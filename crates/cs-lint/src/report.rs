@@ -139,9 +139,9 @@ mod tests {
                 path: "crates/x/src/lib.rs".to_string(),
                 line: 3,
                 col: 9,
-                rule: "wall-clock".to_string(),
-                message: "wall-clock read \"quoted\"".to_string(),
-                snippet: "let t = Instant::now();".to_string(),
+                rule: "rng-discipline".to_string(),
+                message: "stream minted \"quoted\"".to_string(),
+                snippet: "let s = master.derive(\"x\");".to_string(),
             }],
             files_scanned: 7,
         }
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn human_lists_location_first() {
         let text = human(&sample());
-        assert!(text.starts_with("crates/x/src/lib.rs:3:9: wall-clock:"));
+        assert!(text.starts_with("crates/x/src/lib.rs:3:9: rng-discipline:"));
         assert!(text.contains("1 finding across 7 files"));
     }
 
@@ -170,7 +170,7 @@ mod tests {
         second.line = 9;
         r.findings.push(second);
         let text = json(&r);
-        assert!(text.contains("\"rule_counts\": {\n    \"wall-clock\": 2\n  },"));
+        assert!(text.contains("\"rule_counts\": {\n    \"rng-discipline\": 2\n  },"));
         let clean = ScanReport {
             findings: Vec::new(),
             files_scanned: 7,
@@ -180,7 +180,8 @@ mod tests {
 
     #[test]
     fn fix_annotations_match_indentation() {
-        let text = fix_annotations(&sample(), &["        let t = Instant::now();".to_string()]);
-        assert!(text.contains("\n        // cs-lint: allow(wall-clock, reason = "));
+        let raw = "        let s = master.derive(\"x\");".to_string();
+        let text = fix_annotations(&sample(), &[raw]);
+        assert!(text.contains("\n        // cs-lint: allow(rng-discipline, reason = "));
     }
 }

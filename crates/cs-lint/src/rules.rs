@@ -1,6 +1,11 @@
 //! The lint rules: what each one matches in the token stream and why
 //! the matched pattern threatens a standing invariant (DESIGN.md §14).
 //!
+//! Only rules that clippy cannot express live here. The generic bans
+//! (unordered maps, clock reads, thread creation, printing, bare
+//! `unwrap()`) are clippy lints configured in the root `Cargo.toml`
+//! and `clippy.toml`.
+//!
 //! Detection is purely token-level — no type information. Where a rule
 //! would need types (is this `+=` an `f64`?), it uses same-file
 //! evidence (`ident : f64` declarations), which works because merge
@@ -13,17 +18,12 @@ use crate::lexer::{Token, TokenKind};
 /// are reported by the engine itself and are not in this enum: they
 /// cannot be suppressed.
 ///
-/// The first seven are token-level (PR 9); the last four are semantic
-/// rules over the item graph (`crate::items` + `crate::graph`).
+/// The first two are token-level ([`detect`]); the last four are
+/// semantic rules over the item graph (`crate::items` + `crate::graph`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    NondetIteration,
-    WallClock,
-    StrayThreads,
     FloatAccumulationInMerge,
     RngDiscipline,
-    NoPrintlnInLib,
-    NoBareUnwrapInLib,
     TransitiveWallClock,
     TransitiveThreads,
     RngStreamCollision,
@@ -32,13 +32,8 @@ pub enum Rule {
 
 /// All rules, in reporting order.
 pub const ALL_RULES: &[Rule] = &[
-    Rule::NondetIteration,
-    Rule::WallClock,
-    Rule::StrayThreads,
     Rule::FloatAccumulationInMerge,
     Rule::RngDiscipline,
-    Rule::NoPrintlnInLib,
-    Rule::NoBareUnwrapInLib,
     Rule::TransitiveWallClock,
     Rule::TransitiveThreads,
     Rule::RngStreamCollision,
@@ -49,13 +44,8 @@ impl Rule {
     /// The kebab-case name used in reports and `allow(...)` annotations.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NondetIteration => "nondeterministic-iteration",
-            Rule::WallClock => "wall-clock",
-            Rule::StrayThreads => "stray-threads",
             Rule::FloatAccumulationInMerge => "float-accumulation-in-merge",
             Rule::RngDiscipline => "rng-discipline",
-            Rule::NoPrintlnInLib => "no-println-in-lib",
-            Rule::NoBareUnwrapInLib => "no-bare-unwrap-in-lib",
             Rule::TransitiveWallClock => "transitive-wall-clock",
             Rule::TransitiveThreads => "transitive-threads",
             Rule::RngStreamCollision => "rng-stream-collision",
@@ -71,19 +61,6 @@ impl Rule {
     /// One-line rationale attached to every finding.
     pub fn message(self) -> &'static str {
         match self {
-            Rule::NondetIteration => {
-                "HashMap/HashSet in a fingerprint-visible crate: iteration order is \
-                 unseeded and may change across std releases; use BTreeMap/BTreeSet or a \
-                 sorted Vec, or annotate why ordering never escapes"
-            }
-            Rule::WallClock => {
-                "wall-clock read outside cs-bench: results must be a function of the \
-                 seed, never of the host clock"
-            }
-            Rule::StrayThreads => {
-                "thread spawned outside simcore::exec: all parallelism goes through the \
-                 Executor seam so scheduling can never leak into results"
-            }
             Rule::FloatAccumulationInMerge => {
                 "f64 accumulation inside a merge fn: float addition is not associative, \
                  so shard merge order leaks into aggregates (the PR 8 sum bug); use \
@@ -92,14 +69,6 @@ impl Rule {
             Rule::RngDiscipline => {
                 "RNG stream minted outside a scenario builder: every stream must be \
                  derivation-rooted at the master seed via labeled derive()"
-            }
-            Rule::NoPrintlnInLib => {
-                "stdout/debug write in library code: report through simstats \
-                 (registry/sketch) so telemetry stays mergeable and machine-readable"
-            }
-            Rule::NoBareUnwrapInLib => {
-                "bare unwrap() in library code: use expect(\"<invariant>\") naming the \
-                 invariant that makes this infallible"
             }
             Rule::TransitiveWallClock => {
                 "function reaches a wall-clock read (Instant::now/SystemTime) through \
@@ -206,27 +175,6 @@ pub fn detect(src: &str, code: &[Token]) -> Vec<RawFinding> {
         }
         let w = text(i);
         match w {
-            // nondeterministic-iteration: any appearance — import, type
-            // position, or constructor — of the unordered std maps.
-            "HashMap" | "HashSet" => hit(&mut out, Rule::NondetIteration, t),
-
-            // wall-clock: `Instant::now` call sites and any mention of
-            // `SystemTime` (even importing it has no legitimate use
-            // outside the bench harness).
-            "Instant" if is(i + 1, "::") && is_ident(i + 2, "now") => {
-                hit(&mut out, Rule::WallClock, t)
-            }
-            "SystemTime" => hit(&mut out, Rule::WallClock, t),
-
-            // stray-threads: `thread::spawn` / `thread::scope` paths
-            // (also matches the `std::thread::` spelling since `thread`
-            // precedes the call either way).
-            "thread"
-                if is(i + 1, "::") && (is_ident(i + 2, "spawn") || is_ident(i + 2, "scope")) =>
-            {
-                hit(&mut out, Rule::StrayThreads, t)
-            }
-
             // rng-discipline: minting (`SimRng::seed_from` /
             // `SimRng::new`) or deriving (`.derive(` /
             // `.derive_indexed(`) a stream. The leading dot keeps
@@ -238,17 +186,6 @@ pub fn detect(src: &str, code: &[Token]) -> Vec<RawFinding> {
             }
             "derive" | "derive_indexed" if i > 0 && is(i - 1, ".") && is(i + 1, "(") => {
                 hit(&mut out, Rule::RngDiscipline, t)
-            }
-
-            // no-println-in-lib: stdout/stderr/debug macros.
-            "println" | "print" | "eprintln" | "eprint" | "dbg" if is(i + 1, "!") => {
-                hit(&mut out, Rule::NoPrintlnInLib, t)
-            }
-
-            // no-bare-unwrap-in-lib: `.unwrap()` exactly — `unwrap_or*`
-            // are different idents and stay legal.
-            "unwrap" if i > 0 && is(i - 1, ".") && is(i + 1, "(") && is(i + 2, ")") => {
-                hit(&mut out, Rule::NoBareUnwrapInLib, t)
             }
 
             // float-accumulation-in-merge, part 1: `x += …` / `self.x += …`
@@ -309,14 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_variants() {
-        assert_eq!(run("x.unwrap();"), vec![(Rule::NoBareUnwrapInLib, 1)]);
-        assert!(run("x.unwrap_or(0);").is_empty());
-        assert!(run("x.unwrap_or_else(|| 0);").is_empty());
-        assert!(run("x.expect(\"invariant\");").is_empty());
-    }
-
-    #[test]
     fn float_merge_needs_f64_evidence() {
         let bad =
             "struct S { sum: f64 }\nimpl S { fn merge(&mut self, o: &S) { self.sum += o.sum; } }";
@@ -328,22 +257,5 @@ mod tests {
         assert!(run(outside).is_empty());
         let iter_sum = "fn merge_all(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
         assert_eq!(run(iter_sum), vec![(Rule::FloatAccumulationInMerge, 1)]);
-    }
-
-    #[test]
-    fn wall_clock_and_threads() {
-        assert_eq!(run("let t = Instant::now();"), vec![(Rule::WallClock, 1)]);
-        assert_eq!(
-            run("use std::time::SystemTime;"),
-            vec![(Rule::WallClock, 1)]
-        );
-        // `Instant` alone (a type in a signature) is not a read.
-        assert!(run("fn f(t: Instant) {}").is_empty());
-        assert_eq!(
-            run("std::thread::spawn(|| {});"),
-            vec![(Rule::StrayThreads, 1)]
-        );
-        assert_eq!(run("thread::scope(|s| {});"), vec![(Rule::StrayThreads, 1)]);
-        assert!(run("pool.spawn(job);").is_empty());
     }
 }

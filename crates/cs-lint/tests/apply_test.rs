@@ -35,13 +35,12 @@ fn read_tree(root: &Path, files: &[(&str, &str)]) -> BTreeMap<String, String> {
 }
 
 const DIRTY_LIB: &str = "\
-pub fn stamp() -> std::time::Instant {
-    std::time::Instant::now()
+pub fn child(master: &SimRng) -> SimRng {
+    master.derive(\"child\")
 }
 
-pub fn order() -> usize {
-    let m = std::collections::HashMap::<u8, u8>::new();
-    m.iter().count()
+pub fn merge_all(parts: &[f64]) -> f64 {
+    parts.iter().sum::<f64>()
 }
 ";
 
@@ -61,7 +60,7 @@ fn apply_silences_findings_and_is_idempotent() {
     let scan = engine::scan_workspace(&root).expect("scan succeeds");
     let mut rules: Vec<&str> = scan.findings.iter().map(|f| f.rule.as_str()).collect();
     rules.sort_unstable();
-    assert_eq!(rules, ["nondeterministic-iteration", "wall-clock"]);
+    assert_eq!(rules, ["float-accumulation-in-merge", "rng-discipline"]);
 
     let (inserted, skipped) =
         engine::apply_annotations(&root, &scan.findings).expect("apply succeeds");
@@ -78,10 +77,10 @@ fn apply_silences_findings_and_is_idempotent() {
     // indentation-matched, with the triage placeholder reason.
     let lib = fs::read_to_string(root.join("crates/relaynet/src/lib.rs")).expect("lib");
     assert!(lib.contains(
-        "    // cs-lint: allow(wall-clock, reason = \"TODO(triage): state the invariant that makes this safe\")\n    std::time::Instant::now()"
+        "    // cs-lint: allow(rng-discipline, reason = \"TODO(triage): state the invariant that makes this safe\")\n    master.derive(\"child\")"
     ));
     assert!(lib.contains(
-        "    // cs-lint: allow(nondeterministic-iteration, reason = \"TODO(triage): state the invariant that makes this safe\")\n    let m = std::collections::HashMap"
+        "    // cs-lint: allow(float-accumulation-in-merge, reason = \"TODO(triage): state the invariant that makes this safe\")\n    parts.iter().sum::<f64>()"
     ));
 
     // Idempotence: the clean rescan has nothing to apply, and a second
@@ -104,7 +103,7 @@ fn apply_refuses_unsuppressible_findings() {
         ),
         (
             "crates/relaynet/src/lib.rs",
-            "// cs-lint: allow(wall-clock, reason = \"nothing below reads a clock any more\")\npub fn quiet() -> u64 {\n    9\n}\n",
+            "// cs-lint: allow(rng-discipline, reason = \"nothing below derives a stream any more\")\npub fn quiet() -> u64 {\n    9\n}\n",
         ),
     ];
     plant(&root, &files);

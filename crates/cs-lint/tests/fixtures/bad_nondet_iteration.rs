@@ -1,14 +1,14 @@
-// cs-lint-fixture: path = "crates/relaynet/src/bad.rs"
-use std::collections::HashMap; //~ nondeterministic-iteration
-use std::collections::{BTreeMap, HashSet}; //~ nondeterministic-iteration
+// cs-lint-fixture: path = "crates/relaynet/src/bad.rs", clippy = true
+use std::collections::HashMap; //~ clippy::disallowed_types
+use std::collections::{BTreeMap, HashSet}; //~ clippy::disallowed_types
 
 struct Slabs {
-    routes: HashMap<u64, u64>, //~ nondeterministic-iteration
+    routes: HashMap<u64, u64>, //~ clippy::disallowed_types
     ordered: BTreeMap<u64, u64>,
 }
 
-fn build() -> HashSet<u64> { //~ nondeterministic-iteration
-    // cs-lint: allow(nondeterministic-iteration, reason = "membership-only probe, never iterated")
+fn build() -> HashSet<u64> { //~ clippy::disallowed_types
+    #[expect(clippy::disallowed_types, reason = "membership-only probe, never iterated")]
     let allowed = HashSet::new();
     allowed
 }
@@ -17,7 +17,7 @@ fn build() -> HashSet<u64> { //~ nondeterministic-iteration
 mod tests {
     #[test]
     fn still_scoped_in_tests() {
-        let m = std::collections::HashMap::<u8, u8>::new(); //~ nondeterministic-iteration
+        let m = std::collections::HashMap::<u8, u8>::new(); //~ clippy::disallowed_types
         assert!(m.is_empty());
     }
 }

@@ -1,10 +1,10 @@
-// cs-lint-fixture: path = "crates/torcell/src/badprint.rs"
+// cs-lint-fixture: path = "crates/torcell/src/badprint.rs", clippy = true
 use std::fmt::Write as _;
 
 fn report(cells: u64) {
-    println!("cells: {cells}"); //~ no-println-in-lib
-    eprintln!("warning"); //~ no-println-in-lib
-    let _ = dbg!(cells); //~ no-println-in-lib
+    println!("cells: {cells}"); //~ clippy::print_stdout
+    eprintln!("warning"); //~ clippy::print_stderr
+    let _ = dbg!(cells); //~ clippy::dbg_macro
 }
 
 // Formatting into a buffer is not stdout.

@@ -1,11 +1,11 @@
-// cs-lint-fixture: path = "crates/relaynet/src/badclock.rs"
+// cs-lint-fixture: path = "crates/relaynet/src/badclock.rs", clippy = true
 // A helper reads the clock; every fn that can REACH it through
 // workspace calls fires at its call site, even though none of them
-// mention Instant themselves. The direct read stays a token-level
-// wall-clock finding (no double report from the transitive rule).
+// mention Instant themselves. The direct read is clippy's finding; the
+// transitive rule covers only the callers (no double report).
 
 fn stamp() -> u64 {
-    let t = std::time::Instant::now(); //~ wall-clock
+    let t = std::time::Instant::now(); //~ clippy::disallowed_methods
     let _ = t;
     0
 }

@@ -1,10 +1,10 @@
-// cs-lint-fixture: path = "crates/relaynet/src/badspawn.rs"
+// cs-lint-fixture: path = "crates/relaynet/src/badspawn.rs", clippy = true
 // Thread creation laundered through a helper fires at each caller
 // that reaches it — through free-fn calls, method calls resolved by
 // unique name, and `self.` calls alike.
 
 fn fan_out() {
-    let h = std::thread::spawn(|| ()); //~ stray-threads
+    let h = std::thread::spawn(|| ()); //~ clippy::disallowed_methods
     let _ = h;
 }
 

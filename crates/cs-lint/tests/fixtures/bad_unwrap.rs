@@ -1,6 +1,6 @@
-// cs-lint-fixture: path = "crates/backtap/src/badunwrap.rs"
+// cs-lint-fixture: path = "crates/backtap/src/badunwrap.rs", clippy = true
 fn first_and_last(xs: &[u64]) -> u64 {
-    xs.first().unwrap() + xs.last().unwrap() //~ no-bare-unwrap-in-lib //~ no-bare-unwrap-in-lib
+    xs.first().unwrap() + xs.last().unwrap() //~ clippy::unwrap_used //~ clippy::unwrap_used
 }
 
 fn named_invariant(xs: &[u64]) -> u64 {
@@ -8,11 +8,15 @@ fn named_invariant(xs: &[u64]) -> u64 {
 }
 
 fn with_defaults(x: Option<u64>) -> u64 {
-    x.unwrap_or(0) + x.unwrap_or_else(|| 1) + x.unwrap_or_default()
+    x.unwrap_or(0) + x.unwrap_or_else(fallback) + x.unwrap_or_default()
 }
 
+fn fallback() -> u64 {
+    1
+}
+
+#[expect(clippy::unwrap_used, reason = "every caller passes Some(..)")]
 fn annotated(x: Option<u64>) -> u64 {
-    // cs-lint: allow(no-bare-unwrap-in-lib, reason = "Some() by construction two lines up")
     x.unwrap()
 }
 
@@ -20,7 +24,7 @@ fn annotated(x: Option<u64>) -> u64 {
 mod tests {
     #[test]
     fn tests_unwrap_freely() {
-        let v: Option<u64> = Some(3);
+        let v = "3".parse::<u64>().ok();
         assert_eq!(v.unwrap(), 3);
     }
 }

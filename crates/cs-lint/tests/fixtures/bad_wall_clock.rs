@@ -1,10 +1,10 @@
-// cs-lint-fixture: path = "crates/simstats/src/bad.rs"
-use std::time::SystemTime; //~ wall-clock
+// cs-lint-fixture: path = "crates/simstats/src/bad.rs", clippy = true
+use std::time::SystemTime; //~ clippy::disallowed_types
 use std::time::Instant;
 
 fn stamp() -> u64 {
-    let t = Instant::now(); //~ wall-clock
-    let _ = SystemTime::now(); //~ wall-clock
+    let t = Instant::now(); //~ clippy::disallowed_methods
+    let _ = SystemTime::now(); //~ clippy::disallowed_methods //~ clippy::disallowed_types
     let _ = t;
     0
 }

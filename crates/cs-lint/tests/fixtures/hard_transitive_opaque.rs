@@ -1,5 +1,5 @@
-// cs-lint-fixture: path = "crates/relaynet/src/hard_opaque.rs"
-// Call-graph conservatism: an (annotated) clock read behind AMBIGUOUS
+// cs-lint-fixture: path = "crates/relaynet/src/hard_opaque.rs", clippy = true
+// Call-graph conservatism: a sanctioned clock read behind AMBIGUOUS
 // method dispatch taints no caller, calls through function values are
 // opaque, and clock-free helper chains stay silent. ZERO findings.
 
@@ -7,8 +7,11 @@ struct Sampler;
 struct Mirror;
 
 impl Sampler {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fixture: the one sanctioned read; reachability through ambiguous dispatch must stay opaque"
+    )]
     fn probe(&self) -> u64 {
-        // cs-lint: allow(wall-clock, reason = "fixture: the one blessed read; reachability through ambiguous dispatch must stay opaque")
         let t = std::time::Instant::now();
         let _ = t;
         0

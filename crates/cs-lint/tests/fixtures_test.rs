@@ -1,81 +1,23 @@
-//! The fixture corpus: every rule must fire at exactly the expected
-//! `file:line`, and the lexer hard cases must produce zero false
-//! positives.
-//!
-//! Fixture grammar:
-//! * line 1: `// cs-lint-fixture: path = "<virtual workspace path>"` —
-//!   the path drives policy scoping;
-//! * a trailing `//~ <rule-name>` marker on any line declares one
-//!   expected finding there (repeat the marker for multiple findings on
-//!   one line);
-//! * `//~^ <rule-name>` declares the finding one line UP (each extra
-//!   `^` climbs one more line) — needed when the finding is on a line
-//!   that cannot carry a trailing comment, e.g. a `// cs-lint: allow`
-//!   annotation whose parse a suffix would corrupt;
-//! * a fixture with no markers asserts the file is completely clean.
+//! The fixture corpus, cs-lint side: every rule must fire at exactly
+//! the expected `file:line`, and the lexer hard cases must produce zero
+//! false positives. Compiler-lint markers belong to `clippy_fixtures`.
+//! The fixture grammar is in `corpus/mod.rs`.
+
+mod corpus;
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use corpus::{checked_by_clippy, expectations, fixture_files, is_compiler_lint, virtual_path};
 use cs_lint::engine;
 use cs_lint::rules::ALL_RULES;
 
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-fn fixture_files() -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(fixtures_dir())
-        .expect("fixtures dir exists")
-        .map(|e| e.expect("fixture entry readable").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .collect();
-    files.sort();
-    assert!(
-        files.len() >= 20,
-        "fixture corpus shrank: {} files",
-        files.len()
-    );
-    files
-}
-
-/// Parses the `cs-lint-fixture: path = "..."` header.
-fn virtual_path(content: &str, file: &Path) -> String {
-    let first = content.lines().next().unwrap_or("");
-    let rest = first
-        .split_once("cs-lint-fixture:")
-        .unwrap_or_else(|| panic!("{} missing fixture header", file.display()))
-        .1;
-    let path = rest
-        .split_once('"')
-        .and_then(|(_, r)| r.split_once('"'))
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| panic!("{} has a malformed fixture header", file.display()));
-    assert!(!path.is_empty());
-    path.to_string()
-}
-
-/// Collects `(line, rule)` expectations from `//~` / `//~^` markers.
-fn expectations(content: &str) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        for piece in line.split("//~").skip(1) {
-            let up = piece.chars().take_while(|&c| c == '^').count() as u32;
-            let rest = &piece[up as usize..];
-            let rule = rest
-                .trim_start()
-                .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
-                .next()
-                .unwrap_or("")
-                .to_string();
-            assert!(!rule.is_empty(), "empty //~ marker on line {}", i + 1);
-            let line_no = i as u32 + 1;
-            assert!(up < line_no, "//~^ marker climbs past line 1");
-            out.push((line_no - up, rule));
-        }
-    }
-    out.sort();
-    out
+/// The cs-lint rule markers of one fixture.
+fn cs_lint_expectations(content: &str) -> Vec<(u32, String)> {
+    expectations(content)
+        .into_iter()
+        .filter(|(_, name)| !is_compiler_lint(name))
+        .collect()
 }
 
 #[test]
@@ -83,7 +25,7 @@ fn every_fixture_matches_its_markers_exactly() {
     for file in fixture_files() {
         let content = std::fs::read_to_string(&file).expect("fixture readable");
         let vpath = virtual_path(&content, &file);
-        let expected = expectations(&content);
+        let expected = cs_lint_expectations(&content);
         let mut found: Vec<(u32, String)> = engine::scan_source(&vpath, &content)
             .into_iter()
             .map(|f| (f.line, f.rule))
@@ -109,6 +51,11 @@ fn corpus_covers_every_rule_and_has_clean_hard_cases() {
             clean_fixtures += 1;
         }
         for (_, rule) in expected {
+            assert!(
+                !is_compiler_lint(&rule) || checked_by_clippy(&content, &file),
+                "{} expects compiler lint {rule} but is not marked `clippy = true`",
+                file.display()
+            );
             *fired.entry(rule).or_insert(0) += 1;
         }
     }
@@ -145,7 +92,10 @@ fn workspace_scan_is_clean_and_fast() {
         .nth(2)
         .expect("workspace root exists")
         .to_path_buf();
-    // cs-lint: allow(wall-clock, reason = "timing the lint itself against its CI budget, not simulation results")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timing the lint itself against its CI budget, not simulation results"
+    )]
     let t0 = std::time::Instant::now();
     let scan = engine::scan_workspace(&root).expect("workspace scan succeeds");
     let elapsed = t0.elapsed();

@@ -24,7 +24,6 @@
 //! no implicit per-hop processing delay — relays add their own if desired.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod bandwidth;
 pub mod frame;

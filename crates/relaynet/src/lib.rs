@@ -29,7 +29,6 @@
 //! [`builder::baseline_factory`] supplies the paper's baseline.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod circuit;

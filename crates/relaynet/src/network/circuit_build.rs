@@ -536,7 +536,10 @@ impl TorNetwork {
     /// reaped participation (a crashed relay, or an orphan stranded
     /// beyond one) passes `pay_confirms = false` — a dead node must not
     /// signal anyone.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "disjoint TorNetwork fields are borrowed one by one so they can be mutated beside a borrowed circuit"
+    )]
     pub(super) fn drain_hopdir(
         net: &mut Net<crate::wire::WireFrame>,
         link_sched: &mut [LinkScheduler],
@@ -583,7 +586,10 @@ impl TorNetwork {
     /// Both hop directions may share one egress link (a star leaf's
     /// uplink), so the drain runs once per distinct link and dispatches
     /// each frame to its transport by destination.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "disjoint TorNetwork fields are borrowed one by one so they can be mutated beside a borrowed circuit"
+    )]
     pub(super) fn drain_scheduled(
         net: &mut Net<crate::wire::WireFrame>,
         link_sched: &mut [LinkScheduler],
@@ -649,7 +655,10 @@ impl TorNetwork {
     /// reclaiming payloads) — both the hop queues and the cells this
     /// circuit already handed to its egress link scheduler(s) — and the
     /// client stops generating cells.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "disjoint TorNetwork fields are borrowed one by one so they can be mutated beside a borrowed circuit"
+    )]
     pub(super) fn close_participation(
         net: &mut Net<crate::wire::WireFrame>,
         link_sched: &mut [LinkScheduler],
@@ -716,7 +725,10 @@ impl TorNetwork {
     /// confirmed and no echo can come back, so everything outstanding
     /// toward the dead neighbour is written off
     /// ([`HopTransport::forget_all`]) and the wave turns around here.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "disjoint TorNetwork fields are borrowed one by one so they can be mutated beside a borrowed circuit"
+    )]
     pub(super) fn propagate_destroy(
         net: &mut Net<crate::wire::WireFrame>,
         link_sched: &mut [LinkScheduler],

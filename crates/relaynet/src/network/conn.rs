@@ -128,7 +128,10 @@ impl TorNetwork {
     /// Egress pump: drains one hop direction — sends queued cells (and, at
     /// a transferring client, freshly generated DATA/END cells) while the
     /// window allows, paying owed feedback as cells leave the queue.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "disjoint TorNetwork fields are borrowed one by one so they can be mutated beside a borrowed circuit"
+    )]
     pub(super) fn pump_dir(
         net: &mut Net<WireFrame>,
         link_sched: &mut [LinkScheduler],

@@ -25,7 +25,10 @@ use super::{TorNetwork, WorldStats};
 impl TorNetwork {
     /// Emits a feedback frame to `cf.neighbor`, echoing that neighbour's
     /// per-hop sequence number for the cell being confirmed.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "disjoint TorNetwork fields are borrowed one by one so they can be mutated beside a borrowed circuit"
+    )]
     pub(super) fn send_feedback(
         net: &mut Net<WireFrame>,
         link_sched: &mut [LinkScheduler],

@@ -341,7 +341,10 @@ fn assert_selectable(selectable: usize, relays: usize, path_len: usize) {
 /// Panics if fewer than `path_len` weights are positive, or if any
 /// weight is negative or non-finite (a policy bug, not a directory
 /// condition).
-#[cfg_attr(not(test), allow(dead_code))] // oracle: exercised by the differential tests
+#[cfg_attr(
+    not(test),
+    expect(dead_code, reason = "oracle: exercised by the differential tests")
+)]
 fn weighted_distinct(weights: Vec<f64>, rng: &mut SimRng, path_len: usize) -> Vec<usize> {
     assert!(
         weights.iter().all(|&w| w >= 0.0 && w.is_finite()),

@@ -31,8 +31,7 @@
 //! retire, so memory is bounded by the id span of *pending* events, not
 //! by run length (the leak the old `Simulator`-side tombstone set had).
 
-// cs-lint: allow(nondeterministic-iteration, reason = "legacy HeapQueue membership sets, see field docs")
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::time::SimTime;
 
@@ -131,12 +130,10 @@ impl<E> Ord for Entry<E> {
 /// oracle for [`CalendarQueue`]; performance is not a goal here.
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    // cs-lint: allow(nondeterministic-iteration, reason = "membership-only: insert/remove/contains, never iterated, so hash order cannot reach pop order")
     /// Ids currently pending (pushed, not yet popped or cancelled).
-    live: HashSet<u64>,
-    // cs-lint: allow(nondeterministic-iteration, reason = "membership-only: insert/remove/contains, never iterated, so hash order cannot reach pop order")
+    live: BTreeSet<u64>,
     /// Ids cancelled while pending; their heap entries are skipped on pop.
-    cancelled: HashSet<u64>,
+    cancelled: BTreeSet<u64>,
     next_seq: u64,
     high_water: usize,
 }
@@ -157,10 +154,8 @@ impl<E> HeapQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         HeapQueue {
             heap: BinaryHeap::with_capacity(cap),
-            // cs-lint: allow(nondeterministic-iteration, reason = "constructing the membership-only sets documented on the fields")
-            live: HashSet::new(),
-            // cs-lint: allow(nondeterministic-iteration, reason = "constructing the membership-only sets documented on the fields")
-            cancelled: HashSet::new(),
+            live: BTreeSet::new(),
+            cancelled: BTreeSet::new(),
             next_seq: 0,
             high_water: 0,
         }

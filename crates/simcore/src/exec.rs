@@ -109,6 +109,10 @@ impl Executor for ThreadedExecutor {
         "threaded"
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the executor seam is the one place threads are created; results are joined in job order"
+    )]
     fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
         let total = jobs.len();
         // Job slots: each claimed exactly once, by whichever thread's

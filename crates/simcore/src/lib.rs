@@ -55,7 +55,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod exec;

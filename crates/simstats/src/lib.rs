@@ -20,7 +20,6 @@
 //! plain `f64`s so it can be reused and tested in isolation.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod ascii;
 pub mod cdf;

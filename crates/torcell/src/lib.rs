@@ -18,7 +18,6 @@
 //! buffers on its fast path.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod cell;
 pub mod codec;

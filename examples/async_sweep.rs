@@ -17,6 +17,11 @@
 //! cargo run --release --example async_sweep -- 8 2     # 8 shards, 2 workers
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use std::sync::Arc;
 
 use backtap::config::CcConfig;

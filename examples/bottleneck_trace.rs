@@ -8,6 +8,11 @@
 //! cargo run --release --example bottleneck_trace -- 3 42    # + seed
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use simstats::ascii::{plot_lines, PlotConfig};
 

@@ -12,6 +12,11 @@
 //! cargo run --release --example churn_web
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use relaynet::builder::StarScenario;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};

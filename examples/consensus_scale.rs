@@ -10,6 +10,11 @@
 //! cargo run --release --example consensus_scale -- 2000 24   # smaller sweep
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use relaynet::selection::{all_policies, SelectionPolicy};
 use relaynet::workload::{ArrivalSpec, EpochSpec, WorkloadSpec};

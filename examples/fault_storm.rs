@@ -13,6 +13,11 @@
 //! cargo run --release --example fault_storm
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use std::sync::Arc;
 
 use circuitstart::prelude::*;

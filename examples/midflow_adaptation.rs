@@ -19,6 +19,11 @@
 //! cargo run --release --example midflow_adaptation
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use netsim::bandwidth::Bandwidth;
 use relaynet::{PathScenario, TorEvent, WorldConfig};

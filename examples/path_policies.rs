@@ -15,6 +15,11 @@
 //! cargo run --release --example path_policies -- 40 3     # bigger sweep
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use relaynet::selection::{all_policies, SelectionPolicy};
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};

@@ -8,6 +8,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 
 fn main() {

@@ -11,6 +11,11 @@
 //! cargo run --release --example star_download -- 50 3      # the paper's scale
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use simstats::ascii::{plot_lines, PlotConfig};
 

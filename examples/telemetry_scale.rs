@@ -17,6 +17,11 @@
 //! CS_BLESS=1 cargo run --release --example telemetry_scale  # re-bless golden file
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example reports to the terminal by design"
+)]
+
 use circuitstart::prelude::*;
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, EpochSpec, WorkloadSpec};
@@ -144,7 +149,8 @@ fn main() {
         let golden =
             Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/telemetry_scale.prom");
         if std::env::var_os("CS_BLESS").is_some() {
-            std::fs::create_dir_all(golden.parent().unwrap()).expect("golden dir");
+            std::fs::create_dir_all(golden.parent().expect("the golden path has a parent"))
+                .expect("golden dir");
             std::fs::write(&golden, &text).expect("write golden file");
             println!("\nblessed {}", golden.display());
         } else {

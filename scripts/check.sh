@@ -34,7 +34,7 @@ trap 'rm -rf "${apply_dir}"' EXIT
 mkdir -p "${apply_dir}/crates/relaynet/src"
 printf '[package]\nname = "scratch-root"\n' > "${apply_dir}/Cargo.toml"
 printf '[package]\nname = "relaynet"\n' > "${apply_dir}/crates/relaynet/Cargo.toml"
-printf 'pub fn stamp() -> std::time::Instant {\n    std::time::Instant::now()\n}\n' \
+printf 'pub fn child(master: &SimRng) -> SimRng {\n    master.derive("child")\n}\n' \
     > "${apply_dir}/crates/relaynet/src/lib.rs"
 if "${lint_bin}" --root "${apply_dir}" > /dev/null; then
     echo "    FAIL: scratch tree should have findings before apply" >&2

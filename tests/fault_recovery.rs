@@ -41,6 +41,10 @@ use simcore::time::SimDuration;
 /// stuck suite.
 fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test watchdog: the thread only runs the experiment under a deadline, never shares world state"
+    )]
     thread::spawn(move || {
         let _ = tx.send(f());
     });

@@ -33,7 +33,9 @@ fn goodput_with_window(hops: &[LinkConfig], window: u32, file: u64) -> f64 {
     assert_eq!(world.stats().protocol_errors, 0);
     let result = world.result_of(handles.circ);
     assert!(result.completed);
-    result.goodput_bps().unwrap()
+    result
+        .goodput_bps()
+        .expect("a completed transfer has a goodput")
 }
 
 #[test]

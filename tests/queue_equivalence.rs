@@ -33,7 +33,6 @@ struct PathFingerprint {
     events_processed: u64,
 }
 
-#[allow(clippy::type_complexity)]
 fn stats_tuple(s: &WorldStats) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
     (
         s.cells_sent,
